@@ -300,17 +300,23 @@ def build_parser():
 
     p = sub.add_parser("reconstruct", help="recover the training data behind a trace")
     p.add_argument("trace", help="trace file to invert")
-    p.add_argument("--max-iterations", type=int, default=200)
+    p.add_argument("--max-iterations", type=int, default=200,
+                   help="each start stops after 2x this many residual "
+                        "evaluations (default 200)")
     p.add_argument("--residual-tolerance", type=float, default=1e-10,
                    help="max-norm required for convergence (default 1e-10)")
-    p.add_argument("--step-tolerance", type=float, default=1e-12)
-    p.add_argument("--damping-init", type=float, default=1e-3)
+    p.add_argument("--step-tolerance", type=float, default=1e-12,
+                   help="relative step tolerance, MINPACK xtol (default 1e-12)")
+    p.add_argument("--damping-init", type=float, default=1e-3,
+                   help="deprecated: validated but unused, MINPACK sets its "
+                        "own initial step bound")
     p.add_argument("--multistart-count", type=int, default=16,
                    help="start points to try before giving up (default 16)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random start points (default 0)")
     p.add_argument("--box-bounds", nargs=2, type=float, metavar=("LO", "HI"),
-                   default=None, help="clip iterates into [LO, HI]")
+                   default=None,
+                   help="keep iterates inside [LO, HI]; needs LO < HI")
     p.add_argument("--allow-underdetermined", action="store_true",
                    help="solve in least-squares sense even with fewer equations than unknowns")
     p.add_argument("-o", "--output", default="-", metavar="FILE",

@@ -5,11 +5,13 @@ Three routes:
 * ``solve_n1`` -- closed form for a single instance: dividing the two
   epoch-0 equations eliminates the Z factor and yields x directly, then y
   follows from one back-substitution.
-* ``solve`` -- damped least squares for general n.  The core is a scaled
-  trust-region Levenberg-Marquardt iteration (column-norm variable
-  scaling, radius managed by the gain ratio, step from the SVD of the
-  scaled Jacobian), restarted from multiple points because the squared
-  residual landscape has many local minima.
+* ``solve`` -- damped least squares for general n: MINPACK's scaled
+  trust-region Levenberg-Marquardt (lmder, Moré 1978) through
+  ``scipy.optimize.leastsq``, restarted from multiple points because the
+  squared residual landscape has many local minima.  With box bounds, or
+  with fewer equations than unknowns, it runs scipy's dogleg method with
+  rectangular trust regions (``least_squares(method="dogbox")``) instead,
+  since lmder supports neither.
 * ``verify_reconstruction`` -- the independent check: retrain on the
   recovered dataset and compare the resulting trace epoch by epoch.
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import least_squares, leastsq, linear_sum_assignment
 
 from .model import Dataset, Params, TrainConfig, train
 from .system import InsufficientTraceError, ReconstructionProblem, jacobian, residuals
@@ -36,15 +38,19 @@ class DegenerateTraceError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, damping, and multi-start policy for ``solve``.
+    """Tolerances and multi-start policy for ``solve``.
 
     ``residual_tolerance`` is on the max-norm of the residual vector; a
-    result counts as converged only below it.  ``damping_init`` seeds the
-    initial trust radius (the radius of the first damped step).  Start
-    points: ``initial_guess`` if given, else (x_0=0.5, all else 0); the
-    remaining ``multistart_count - 1`` starts draw x uniformly from
-    [0, 1] and y uniformly from [-0.9, 0.9] using ``seed``.
-    ``box_bounds = (lo, hi)`` clips every trial point into the box.
+    result counts as converged only below it.  ``step_tolerance`` is the
+    solver's relative step tolerance (MINPACK ``xtol``), and
+    ``max_iterations`` caps each start at ``2 * max_iterations`` residual
+    evaluations.  ``damping_init`` is validated but unused: MINPACK sets
+    its own initial step bound; the field remains so existing configs
+    and flags keep working.  Start points: ``initial_guess`` if given,
+    else (x_0=0.5, all else 0); the remaining ``multistart_count - 1``
+    starts draw x uniformly from [0, 1] and y uniformly from [-0.9, 0.9]
+    using ``seed``.  ``box_bounds = (lo, hi)``, with lo < hi, keeps every
+    iterate inside the box; starts are clipped into it.
     """
 
     max_iterations: int = 200
@@ -65,6 +71,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be > 0")
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be >= 1")
+        if self.box_bounds is not None:
+            lo, hi = self.box_bounds
+            if not np.all(np.asarray(lo) < np.asarray(hi)):
+                raise ValueError(f"box_bounds must have lo < hi, got ({lo}, {hi})")
 
 
 @dataclass
@@ -105,112 +115,35 @@ class VerifyReport:
         return float(max(self.dw.max(), self.db.max()))
 
 
-def _trust_region_step(U, s, Vt, r, delta):
-    """Min ||J d + r|| subject to ||d|| <= delta, given the SVD of J.
-
-    Returns (d, lam) where lam is the implied damping parameter (0 when
-    the Gauss-Newton step already fits in the radius).
-    """
-    beta = U.T @ r
-    cutoff = s[0] * 1e-14 if s[0] > 0 else np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(s > cutoff, beta / np.where(s > cutoff, s, 1.0), 0.0)
-    d_gn = -Vt.T @ coef
-    if np.linalg.norm(d_gn) <= delta:
-        return d_gn, 0.0
-
-    def step_norm(lam):
-        return float(np.sqrt(np.sum((s * beta / (s**2 + lam)) ** 2)))
-
-    lo, hi = 0.0, 1.0
-    while step_norm(hi) > delta and hi < 1e300:
-        hi *= 10.0
-    lam = hi / 2.0
-    for _ in range(60):
-        q = step_norm(lam)
-        if abs(q - delta) <= 1e-10 * delta:
-            break
-        if q > delta:
-            lo = lam
-        else:
-            hi = lam
-        dq = -np.sum(s**2 * beta**2 / (s**2 + lam) ** 3) / max(q, 1e-300)
-        if dq != 0.0:
-            lam_new = lam - (q - delta) * q / (delta * dq)
-        else:
-            lam_new = (lo + hi) / 2.0
-        lam = lam_new if lo < lam_new < hi else (lo + hi) / 2.0
-    return -Vt.T @ (s * beta / (s**2 + lam)), lam
-
-
 def _levenberg_marquardt(fun, jac, z0, cfg):
-    """Scaled trust-region LM iteration from a single start point.
+    """Damped least squares from a single start point.
 
-    Returns (z, r, iterations, converged) where converged means the
-    residual max-norm reached cfg.residual_tolerance.
+    MINPACK's lmder by default.  When the iterates must stay in
+    ``cfg.box_bounds``, or the system has fewer equations than unknowns,
+    neither of which lmder handles: scipy's dogleg method with
+    rectangular trust regions, from a start clipped into the box.
+    Returns (z, r, iterations) where iterations counts Jacobian
+    evaluations, 0 when the start is already a root.
     """
-    lo = hi = None
-    if cfg.box_bounds is not None:
-        lo, hi = (np.asarray(v, dtype=float) for v in cfg.box_bounds)
-
-    def clip(z):
-        return np.clip(z, lo, hi) if lo is not None else z
-
-    z = clip(np.asarray(z0, dtype=float).copy())
-    r = fun(z)
-    cost = float(r @ r)
-    J = jac(z)
-    scale = np.linalg.norm(J, axis=0)
-    scale[scale == 0.0] = 1.0
-    delta = None
-
-    it = 0
-    while it < cfg.max_iterations:
-        if np.max(np.abs(r)) <= cfg.residual_tolerance:
-            return z, r, it, True
-        it += 1
-        Jh = J / scale
-        U, s, Vt = np.linalg.svd(Jh, full_matrices=False)
-        if s[0] == 0.0:
-            return z, r, it, False  # zero Jacobian, nowhere to go
-        if delta is None:
-            # radius of the first step at the configured initial damping
-            mu0 = cfg.damping_init * s[0] ** 2
-            beta = U.T @ r
-            delta = float(np.linalg.norm(s * beta / (s**2 + mu0)))
-            if delta == 0.0:
-                delta = 1.0
-        if np.max(np.abs(Jh.T @ r)) <= 1e-14 * max(1.0, np.sqrt(cost)):
-            return z, r, it, False  # stationary but not a root
-        accepted = False
-        for _ in range(30):
-            dh, lam = _trust_region_step(U, s, Vt, r, delta)
-            z_new = clip(z + dh / scale)
-            r_new = fun(z_new)
-            cost_new = float(r_new @ r_new)
-            pred = float(np.linalg.norm(Jh @ dh) ** 2 + 2.0 * lam * np.linalg.norm(dh) ** 2)
-            rho = (cost - cost_new) / pred if pred > 0 else -1.0
-            if rho < 0.25:
-                delta = 0.25 * float(np.linalg.norm(dh))
-            elif rho > 0.75 and lam > 0.0:
-                delta = min(2.0 * delta, 1e10)
-            if rho > 1e-4:
-                accepted = True
-                break
-            if delta <= 1e-13 * max(1.0, float(np.linalg.norm(scale * z))):
-                return z, r, it, False
-        if not accepted:
-            return z, r, it, False
-        step = z_new - z
-        stagnant = (cost - cost_new) <= 1e-14 * cost and pred <= 1e-14 * cost
-        z, r, cost = z_new, r_new, cost_new
-        J = jac(z)
-        scale = np.maximum(scale, np.linalg.norm(J, axis=0))
-        if np.max(np.abs(r)) <= cfg.residual_tolerance:
-            return z, r, it, True
-        if stagnant or np.linalg.norm(step) <= cfg.step_tolerance * (np.linalg.norm(z) + cfg.step_tolerance):
-            return z, r, it, False
-    return z, r, it, False
+    lo, hi = cfg.box_bounds if cfg.box_bounds is not None else (-np.inf, np.inf)
+    z0 = np.clip(z0, lo, hi)
+    r = fun(z0)
+    if np.max(np.abs(r)) <= cfg.residual_tolerance:
+        return z0, r, 0
+    if cfg.box_bounds is not None or r.size < z0.size:
+        sol = least_squares(
+            fun, z0, jac=jac, method="dogbox", bounds=(lo, hi), x_scale="jac",
+            ftol=1e-15, xtol=cfg.step_tolerance, gtol=None,
+            max_nfev=2 * cfg.max_iterations,
+        )
+        z, r, iterations = sol.x, sol.fun, sol.njev
+    else:
+        z, _, info, _, _ = leastsq(
+            fun, z0, Dfun=jac, full_output=True, ftol=1e-15,
+            xtol=cfg.step_tolerance, gtol=0.0, maxfev=2 * cfg.max_iterations,
+        )
+        r, iterations = info["fvec"], info["njev"]
+    return z, r, iterations
 
 
 def _start_points(problem, cfg):
@@ -250,28 +183,21 @@ def solve(problem, cfg=SolverConfig()):
     fun = lambda z: residuals(z, problem)
     jac = lambda z: jacobian(z, problem)
 
-    best = None  # (residual_norm, start_index, z, iterations)
-    starts_tried = 0
-    for k, z0 in enumerate(_start_points(problem, cfg)):
-        starts_tried += 1
-        z, r, iterations, converged = _levenberg_marquardt(fun, jac, z0, cfg)
+    best = None  # (residual_norm, z, iterations)
+    for starts_tried, z0 in enumerate(_start_points(problem, cfg), start=1):
+        z, r, iterations = _levenberg_marquardt(fun, jac, z0, cfg)
         rnorm = float(np.max(np.abs(r)))
-        if best is None or rnorm < best[0]:
-            best = (rnorm, k, z, iterations)
+        converged = rnorm <= cfg.residual_tolerance
+        if best is None or converged or rnorm < best[0]:
+            best = (rnorm, z, iterations)
         if converged:
-            return ReconstructionResult(
-                recovered=Dataset(z[:n].copy(), z[n:].copy()),
-                residual_norm=rnorm,
-                iterations=iterations,
-                converged=True,
-                starts_tried=starts_tried,
-            )
-    rnorm, _, z, iterations = best
+            break
+    rnorm, z, iterations = best
     return ReconstructionResult(
         recovered=Dataset(z[:n].copy(), z[n:].copy()),
         residual_norm=rnorm,
         iterations=iterations,
-        converged=False,
+        converged=converged,
         starts_tried=starts_tried,
     )
 

@@ -193,8 +193,9 @@ def save_trace(trace, destination, digits=None):
 def iter_records(source, magic):
     """Tokenize a line-oriented file, checking its magic/version header.
 
-    Yields ``(line_number, tokens)`` for every non-blank, non-comment line
-    after the header.  Shared by the trace, dataset, and report readers.
+    Returns a list of ``(line_number, tokens)``, one for every non-blank,
+    non-comment line after the header.  Shared by the trace, dataset, and
+    report readers.
     """
     if hasattr(source, "read"):
         text = source.read()

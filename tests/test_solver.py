@@ -85,11 +85,15 @@ def test_closed_form_rejects_multi_instance(rng):
 
 
 def test_solve_agrees_with_closed_form(rng):
-    for _ in range(10):
-        data = random_dataset(rng, 1)
+    cases = [(random_dataset(rng, 1), SolverConfig()) for _ in range(10)]
+    # a hard instance: the first three starts miss, the fourth finds the root
+    cases.append(
+        (Dataset([0.3038739050748761], [0.5729710315850822]), SolverConfig(seed=307))
+    )
+    for data, cfg in cases:
         p = problem_for(data, epochs=2)
         a = solve_n1(p)
-        b = solve(p)
+        b = solve(p, cfg)
         assert a.converged and b.converged
         assert abs(a.recovered.xs[0] - b.recovered.xs[0]) < 1e-8
         assert abs(a.recovered.ys[0] - b.recovered.ys[0]) < 1e-8
@@ -132,10 +136,18 @@ def test_converged_results_satisfy_the_tolerance(rng):
             assert np.max(np.abs(r)) <= 1e-10
 
 
-def test_solve_is_deterministic(rng):
+@pytest.mark.parametrize(
+    "epochs, cfg",
+    [
+        (4, SolverConfig(seed=7)),
+        (4, SolverConfig(seed=7, box_bounds=(-1.0, 1.0))),
+        (3, SolverConfig(seed=7, allow_underdetermined=True)),
+    ],
+    ids=["default", "box_bounds", "underdetermined"],
+)
+def test_solve_is_deterministic(rng, epochs, cfg):
     data = random_dataset(rng, 3)
-    p = problem_for(data, epochs=4)
-    cfg = SolverConfig(seed=7)
+    p = problem_for(data, epochs=epochs)
     r1 = solve(p, cfg)
     r2 = solve(p, cfg)
     np.testing.assert_array_equal(r1.recovered.xs, r2.recovered.xs)
@@ -184,6 +196,9 @@ def test_solver_config_validation():
         SolverConfig(residual_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(multistart_count=0)
+    for bounds in ((1.0, -1.0), (0.5, 0.5)):
+        with pytest.raises(ValueError, match="lo < hi"):
+            SolverConfig(box_bounds=bounds)
 
 
 # --- permutation-aware matching ---------------------------------------------
