@@ -10,17 +10,12 @@ Exit codes: 0 success; 1 runtime failure (training diverged,
 verification FAIL); 2 usage or input error; 3 reconstruction finished
 without converging (the report is still written).
 
-Dataset and report files share the trace file's line-oriented layout:
-a ``magic version`` header, ``key value`` fields, and one
-``instance i x y`` record per row.  A reconstruction report carries the
-same instance records plus convergence fields, so ``verify`` accepts
-``reconstruct`` output directly.
+The trace, dataset, and report file formats live in ``trace``.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 from .model import Dataset, Params, TrainConfig, TrainingDivergedError, train
@@ -32,119 +27,8 @@ from .system import (
     feasibility,
 )
 from .tables import demo_tables
-from .trace import (
-    FORMAT_VERSION,
-    TraceParseError,
-    TraceValidationError,
-    format_float,
-    iter_records,
-    load_trace,
-    parse_float,
-    parse_int,
-    save_trace,
-)
-
-DATASET_MAGIC = "traceinv-dataset"
-REPORT_MAGIC = "traceinv-report"
-
-
-def _read_text(source):
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return text.decode("utf-8") if isinstance(text, bytes) else text
-
-
-def _write_text(destination, text):
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def save_dataset(data, destination):
-    """Write a dataset file readable by ``load_dataset``."""
-    lines = [f"{DATASET_MAGIC} {FORMAT_VERSION}", f"n {data.n}"]
-    for i in range(data.n):
-        lines.append(
-            f"instance {i} {format_float(data.xs[i])} {format_float(data.ys[i])}"
-        )
-    _write_text(destination, "\n".join(lines) + "\n")
-
-
-def save_report(result, destination):
-    """Write a reconstruction report; its instance records make it
-    loadable by ``load_dataset`` as well."""
-    data = result.recovered
-    lines = [
-        f"{REPORT_MAGIC} {FORMAT_VERSION}",
-        f"n {data.n}",
-        f"converged {'true' if result.converged else 'false'}",
-        f"residual_norm {format_float(result.residual_norm)}",
-        f"iterations {result.iterations}",
-        f"starts_tried {result.starts_tried}",
-    ]
-    for i in range(data.n):
-        lines.append(
-            f"instance {i} {format_float(data.xs[i])} {format_float(data.ys[i])}"
-        )
-    _write_text(destination, "\n".join(lines) + "\n")
-
-
-# report-only fields skipped when a report is read back as a dataset
-_REPORT_FIELDS = {"converged", "residual_norm", "iterations", "starts_tried"}
-
-
-def load_dataset(source):
-    """Read a dataset from a dataset file or a reconstruction report."""
-    text = _read_text(source)
-    first = next(
-        (ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),
-        "",
-    )
-    magic = REPORT_MAGIC if first.startswith(REPORT_MAGIC) else DATASET_MAGIC
-    n = None
-    rows = []
-    for lineno, tokens in iter_records(io.StringIO(text), magic):
-        key = tokens[0]
-        if key == "n":
-            if n is not None:
-                raise TraceValidationError("field n given twice", rule="duplicate-field")
-            if len(tokens) != 2:
-                raise TraceParseError("expected 'n <count>'", line=lineno)
-            n = parse_int(tokens[1], lineno)
-        elif key == "instance":
-            if len(tokens) != 4:
-                raise TraceParseError("expected 'instance <i> <x> <y>'", line=lineno)
-            rows.append(
-                (
-                    parse_int(tokens[1], lineno),
-                    parse_float(tokens[2], lineno),
-                    parse_float(tokens[3], lineno),
-                )
-            )
-        elif magic == REPORT_MAGIC and key in _REPORT_FIELDS:
-            continue
-        else:
-            raise TraceParseError(f"unknown record {key!r}", line=lineno)
-    if n is None:
-        raise TraceValidationError("missing field: n", rule="missing-field")
-    if n < 1:
-        raise TraceValidationError("n must be >= 1", rule="n-positive")
-    if len(rows) != n:
-        raise TraceValidationError(
-            f"expected {n} instance records, found {len(rows)}", rule="instance-count"
-        )
-    rows.sort(key=lambda row: row[0])
-    if [row[0] for row in rows] != list(range(n)):
-        raise TraceValidationError(
-            f"instance indices must cover 0..{n - 1} exactly once",
-            rule="instance-contiguous",
-        )
-    return Dataset([row[1] for row in rows], [row[2] for row in rows])
+# save_dataset is unused here; callers of traceinv.cli import it from this module
+from .trace import load_dataset, load_trace, save_dataset, save_report, save_trace
 
 
 def _destination(path):
@@ -159,6 +43,8 @@ def _fail(message, code):
 def cmd_train(args):
     if args.dataset is not None and (args.x or args.y):
         return _fail("give either --dataset or inline --x/--y values, not both", 2)
+    if args.precision is not None and args.precision < 1:
+        return _fail(f"--precision must be >= 1, got {args.precision}", 2)
     try:
         if args.dataset is not None:
             data = load_dataset(args.dataset)
@@ -288,7 +174,8 @@ def build_parser():
     p.add_argument("--w0", type=float, default=0.5, help="initial weight (default 0.5)")
     p.add_argument("--b0", type=float, default=0.5, help="initial bias (default 0.5)")
     p.add_argument("--precision", type=int, default=None, metavar="DIGITS",
-                   help="significant digits written to the trace (default: lossless)")
+                   help="significant digits (>= 1) written to the trace "
+                        "(default: lossless)")
     p.add_argument("--debug", action="store_true",
                    help="also record per-epoch predictions and loss")
     p.add_argument("-o", "--output", default="-", metavar="FILE",
@@ -328,7 +215,8 @@ def build_parser():
     p.add_argument("trace", help="observed trace file")
     p.add_argument("dataset", help="recovered dataset (dataset or report file)")
     p.add_argument("--threshold", type=float, default=1e-8,
-                   help="largest per-epoch deviation allowed for PASS (default 1e-8)")
+                   help="largest per-epoch deviation allowed for PASS; needs >= 0 "
+                        "(default 1e-8)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("feasibility",

@@ -263,7 +263,10 @@ def verify_reconstruction(trace, recovered, threshold=1e-8):
 
     This is the ground-truth-free success check: a correct reconstruction
     (up to pair permutation) reproduces the observed trace exactly.
+    ``threshold`` must be >= 0.
     """
+    if not threshold >= 0:  # also rejects NaN
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     if recovered.n != trace.n:
         raise ValueError(
             f"dataset size {recovered.n} does not match trace metadata n={trace.n}"

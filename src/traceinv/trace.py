@@ -1,4 +1,5 @@
-"""Parameter traces and their on-disk text format.
+"""Parameter traces and the on-disk text formats of traces, datasets, and
+reconstruction reports.
 
 A trace is the eavesdropper's entire view of a training run: the learning
 rate, the (public) dataset size, and the per-epoch weight/bias values.  An
@@ -6,7 +7,7 @@ optional debug block additionally stores per-epoch predictions and loss;
 it exists for inspection and testing only and is never consumed by the
 reconstruction code.
 
-File format (line oriented, one token group per line)::
+Trace file format (line oriented, one token group per line)::
 
     traceinv-trace 1
     eta 0.1
@@ -23,6 +24,12 @@ with their shortest round-trip representation by default, so a save/load
 cycle is bit-exact; ``digits`` trades that exactness for a fixed number of
 significant digits (``debug <j> <loss> <yhat...>`` lines follow the same
 rendering).
+
+Dataset and report files share the trace file's line-oriented layout:
+a ``magic version`` header, ``key value`` fields, and one
+``instance i x y`` record per row.  A reconstruction report carries the
+same instance records plus convergence fields, so ``load_dataset`` (and
+``traceinv verify``) accepts ``reconstruct`` output directly.
 """
 
 from __future__ import annotations
@@ -34,11 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 MAGIC = "traceinv-trace"
+DATASET_MAGIC = "traceinv-dataset"
+REPORT_MAGIC = "traceinv-report"
 FORMAT_VERSION = 1
 
 
 class TraceParseError(ValueError):
-    """Malformed trace file syntax; carries the offending line number."""
+    """Malformed trace, dataset, or report file syntax; carries the
+    offending line number."""
 
     def __init__(self, message, line=None):
         self.line = line
@@ -48,7 +58,7 @@ class TraceParseError(ValueError):
 
 
 class TraceValidationError(ValueError):
-    """Structurally valid file whose content violates a trace invariant."""
+    """Structurally valid file whose content violates a format invariant."""
 
     def __init__(self, message, rule):
         self.rule = rule
@@ -156,33 +166,19 @@ class ParamTrace:
 
 
 def format_float(value, digits=None):
-    """Render a float losslessly (default) or with fixed significant digits."""
+    """Render a float losslessly (default) or with ``digits`` >= 1
+    significant digits."""
     if digits is None:
         return repr(float(value))
+    if not digits >= 1:
+        raise ValueError(f"digits must be None or >= 1, got {digits}")
     return f"{float(value):.{int(digits)}g}"
 
 
-def save_trace(trace, destination, digits=None):
-    """Write ``trace`` to a path or text file object.
-
-    With ``digits=None`` every float round-trips bit-exactly; an integer
-    keeps only that many significant digits (e.g. ``digits=7`` mimics a
-    low-precision observer).
-    """
-    lines = [f"{MAGIC} {FORMAT_VERSION}"]
-    lines.append(f"eta {format_float(trace.eta, digits)}")
-    lines.append(f"n {trace.n}")
-    lines.append(f"epochs {trace.epochs}")
-    for j in range(trace.epochs):
-        lines.append(
-            f"epoch {j} {format_float(trace.ws[j], digits)} "
-            f"{format_float(trace.bs[j], digits)}"
-        )
-    if trace.debug is not None:
-        for j in range(trace.epochs):
-            yhat = " ".join(format_float(v, digits) for v in trace.debug.yhat[j])
-            lines.append(f"debug {j} {format_float(trace.debug.loss[j], digits)} {yhat}")
-    text = "\n".join(lines) + "\n"
+def _write_records(destination, magic, lines):
+    """Write the ``magic version`` header and ``lines`` to a path or text
+    file object; shared by the trace, dataset, and report writers."""
+    text = "\n".join([f"{magic} {FORMAT_VERSION}", *lines]) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
     else:
@@ -190,12 +186,66 @@ def save_trace(trace, destination, digits=None):
             fh.write(text)
 
 
-def iter_records(source, magic):
-    """Tokenize a line-oriented file, checking its magic/version header.
+def save_trace(trace, destination, digits=None):
+    """Write ``trace`` to a path or text file object.
 
-    Returns a list of ``(line_number, tokens)``, one for every non-blank,
-    non-comment line after the header.  Shared by the trace, dataset, and
-    report readers.
+    With ``digits=None`` every float round-trips bit-exactly; an integer
+    >= 1 keeps only that many significant digits (e.g. ``digits=7``
+    mimics a low-precision observer).
+    """
+    lines = [
+        f"eta {format_float(trace.eta, digits)}",
+        f"n {trace.n}",
+        f"epochs {trace.epochs}",
+    ]
+    lines += [
+        f"epoch {j} {format_float(w, digits)} {format_float(b, digits)}"
+        for j, (w, b) in enumerate(zip(trace.ws.tolist(), trace.bs.tolist()))
+    ]
+    if trace.debug is not None:
+        for j in range(trace.epochs):
+            yhat = " ".join(format_float(v, digits) for v in trace.debug.yhat[j])
+            lines.append(f"debug {j} {format_float(trace.debug.loss[j], digits)} {yhat}")
+    _write_records(destination, MAGIC, lines)
+
+
+def _instance_lines(data):
+    return [
+        f"instance {i} {format_float(x)} {format_float(y)}"
+        for i, (x, y) in enumerate(zip(data.xs.tolist(), data.ys.tolist()))
+    ]
+
+
+def save_dataset(data, destination):
+    """Write a dataset file readable by ``load_dataset``."""
+    _write_records(destination, DATASET_MAGIC, [f"n {data.n}", *_instance_lines(data)])
+
+
+def save_report(result, destination):
+    """Write a reconstruction report; its instance records make it
+    loadable by ``load_dataset`` as well."""
+    data = result.recovered
+    _write_records(
+        destination,
+        REPORT_MAGIC,
+        [
+            f"n {data.n}",
+            f"converged {'true' if result.converged else 'false'}",
+            f"residual_norm {format_float(result.residual_norm)}",
+            f"iterations {result.iterations}",
+            f"starts_tried {result.starts_tried}",
+            *_instance_lines(data),
+        ],
+    )
+
+
+def iter_records(source, *magics):
+    """Tokenize a line-oriented file whose header names one of ``magics``.
+
+    ``source`` is a path or a text or bytes file object.  Returns
+    ``(magic, records)``: the magic the header named, and a list of
+    ``(line_number, tokens)``, one for every non-blank, non-comment line
+    after the header.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -204,126 +254,145 @@ def iter_records(source, magic):
             text = fh.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = text.splitlines()
-    records = []
-    header = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if header is None:
-            header = tokens
-            if len(tokens) != 2 or tokens[0] != magic:
-                raise TraceParseError(
-                    f"expected header '{magic} <version>', got {raw!r}", line=lineno
-                )
-            if tokens[1] != str(FORMAT_VERSION):
-                raise TraceParseError(
-                    f"unsupported format version {tokens[1]!r}", line=lineno
-                )
-            continue
-        records.append((lineno, tokens))
-    if header is None:
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    records = [(lineno, line.split()) for lineno, line in lines if line and line[0] != "#"]
+    if not records:
         raise TraceParseError("empty file, missing header line")
-    return records
+    lineno, header = records[0]
+    if len(header) != 2 or header[0] not in magics:
+        expected = " or ".join(f"'{magic} <version>'" for magic in magics)
+        raise TraceParseError(
+            f"expected header {expected}, got {' '.join(header)!r}", line=lineno
+        )
+    if header[1] != str(FORMAT_VERSION):
+        raise TraceParseError(f"unsupported format version {header[1]!r}", line=lineno)
+    return header[0], records[1:]
 
 
-def parse_float(token, lineno):
+def _number(kind, token, lineno):
+    """``kind(token)`` for ``kind`` float or int, naming the line on failure."""
     try:
-        value = float(token)
+        return kind(token)
     except ValueError:
-        raise TraceParseError(f"not a number: {token!r}", line=lineno) from None
-    return value
+        raise TraceParseError(f"not a valid {kind.__name__}: {token!r}", line=lineno) from None
 
 
-def parse_int(token, lineno):
-    try:
-        return int(token)
-    except ValueError:
-        raise TraceParseError(f"not an integer: {token!r}", line=lineno) from None
+def _parse(records, fields, rows, ignore=()):
+    """Sort ``records`` into one-value fields and multi-value rows.
+
+    ``fields`` maps each required field to the type of its value.
+    ``rows`` maps each row record to its usage line; a usage ending in
+    ``...>`` takes any number of trailing values.  ``ignore`` names
+    optional fields whose value is checked only for count and repetition.
+    Returns the field values (None for an ignored one) and, for each row
+    record, its ``(line_number, tokens)`` list for the caller to parse by
+    column.
+    """
+    arity = {key: len(usage.split()) for key, usage in rows.items()}
+    found = {key: [] for key in rows}
+    values = {}
+    for lineno, tokens in records:
+        key = tokens[0]
+        if key in found:
+            if len(tokens) != arity[key] and not (
+                len(tokens) > arity[key] and rows[key].endswith("...>")
+            ):
+                raise TraceParseError(f"'{key}' record needs: {rows[key]}", line=lineno)
+            found[key].append((lineno, tokens))
+        elif key in fields or key in ignore:
+            if len(tokens) != 2:
+                raise TraceParseError(f"'{key}' takes one value", line=lineno)
+            if key in values:
+                raise TraceValidationError(
+                    f"duplicate field '{key}'", rule="duplicate-field"
+                )
+            values[key] = _number(fields[key], tokens[1], lineno) if key in fields else None
+        else:
+            raise TraceParseError(f"unknown record type {key!r}", line=lineno)
+    for key in fields:
+        if key not in values:
+            raise TraceValidationError(
+                f"missing required field '{key}'", rule="missing-field"
+            )
+    return values, found
 
 
 def load_trace(source):
     """Read a trace from a path or file object, validating all invariants."""
-    fields = {}
-    epochs_seen = []
-    debug_seen = {}
-    for lineno, tokens in iter_records(source, MAGIC):
-        key = tokens[0]
-        if key in ("eta", "n", "epochs"):
-            if len(tokens) != 2:
-                raise TraceParseError(f"'{key}' takes one value", line=lineno)
-            if key in fields:
-                raise TraceValidationError(
-                    f"duplicate field '{key}'", rule="duplicate-field"
-                )
-            if key == "eta":
-                fields[key] = parse_float(tokens[1], lineno)
-            else:
-                fields[key] = parse_int(tokens[1], lineno)
-        elif key == "epoch":
-            if len(tokens) != 4:
-                raise TraceParseError(
-                    "'epoch' record needs: epoch <j> <w> <b>", line=lineno
-                )
-            j = parse_int(tokens[1], lineno)
-            w = parse_float(tokens[2], lineno)
-            b = parse_float(tokens[3], lineno)
-            epochs_seen.append((j, w, b, lineno))
-        elif key == "debug":
-            if len(tokens) < 4:
-                raise TraceParseError(
-                    "'debug' record needs: debug <j> <loss> <yhat...>", line=lineno
-                )
-            j = parse_int(tokens[1], lineno)
-            loss = parse_float(tokens[2], lineno)
-            yhat = [parse_float(t, lineno) for t in tokens[3:]]
-            if j in debug_seen:
-                raise TraceValidationError(
-                    f"duplicate debug record for epoch {j}", rule="debug-shape"
-                )
-            debug_seen[j] = (loss, yhat)
-        else:
-            raise TraceParseError(f"unknown record type {key!r}", line=lineno)
-
-    for key in ("eta", "n", "epochs"):
-        if key not in fields:
-            raise TraceValidationError(
-                f"missing required field '{key}'", rule="missing-field"
-            )
-    if fields["epochs"] < 1:
+    _, records = iter_records(source, MAGIC)
+    fields, rows = _parse(
+        records,
+        {"eta": float, "n": int, "epochs": int},
+        {"epoch": "epoch <j> <w> <b>", "debug": "debug <j> <loss> <yhat...>"},
+    )
+    epochs, n = fields["epochs"], fields["n"]
+    if epochs < 1:
         raise TraceValidationError(
-            f"epochs must be >= 1, got {fields['epochs']}", rule="epochs-positive"
+            f"epochs must be >= 1, got {epochs}", rule="epochs-positive"
         )
-    indices = [j for j, _, _, _ in epochs_seen]
-    if indices != list(range(fields["epochs"])):
+    epoch_rows = rows["epoch"]
+    indices = [_number(int, t[1], ln) for ln, t in epoch_rows]
+    ws = np.array([_number(float, t[2], ln) for ln, t in epoch_rows])
+    bs = np.array([_number(float, t[3], ln) for ln, t in epoch_rows])
+    if indices != list(range(epochs)):
         raise TraceValidationError(
-            f"epoch records must be 0..{fields['epochs'] - 1} in order, got {indices}",
+            f"epoch records must be 0..{epochs - 1} in order, got {indices}",
             rule="epoch-contiguous",
         )
-    ws = np.array([w for _, w, _, _ in epochs_seen])
-    bs = np.array([b for _, _, b, _ in epochs_seen])
 
     debug = None
-    if debug_seen:
-        if sorted(debug_seen) != list(range(fields["epochs"])):
+    if rows["debug"]:
+        debug_rows = sorted((_number(int, t[1], ln), ln, t) for ln, t in rows["debug"])
+        if [j for j, _, _ in debug_rows] != list(range(epochs)) or any(
+            len(t) != n + 3 for _, _, t in debug_rows
+        ):
             raise TraceValidationError(
-                "debug records must cover every epoch exactly once",
+                f"debug records must give one loss and {n} yhat values for every "
+                f"epoch, once each",
                 rule="debug-shape",
             )
-        for j, (_, yhat) in debug_seen.items():
-            if len(yhat) != fields["n"]:
-                raise TraceValidationError(
-                    f"debug yhat for epoch {j} has {len(yhat)} values, expected n={fields['n']}",
-                    rule="debug-shape",
-                )
         debug = TraceDebug(
-            yhat=np.array([debug_seen[j][1] for j in range(fields["epochs"])]),
-            loss=np.array([debug_seen[j][0] for j in range(fields["epochs"])]),
+            yhat=np.array([[_number(float, v, ln) for v in t[3:]] for _, ln, t in debug_rows]),
+            loss=np.array([_number(float, t[2], ln) for _, ln, t in debug_rows]),
         )
 
-    return ParamTrace(eta=fields["eta"], n=fields["n"], ws=ws, bs=bs, debug=debug)
+    return ParamTrace(eta=fields["eta"], n=n, ws=ws, bs=bs, debug=debug)
+
+
+# the optional one-value fields a report adds to the dataset layout
+_REPORT_FIELDS = ("converged", "residual_norm", "iterations", "starts_tried")
+
+
+def load_dataset(source):
+    """Read a dataset from a dataset file or a reconstruction report."""
+    from .model import Dataset  # model imports this module; import here to avoid the cycle
+
+    magic, records = iter_records(source, DATASET_MAGIC, REPORT_MAGIC)
+    fields, rows = _parse(
+        records,
+        {"n": int},
+        {"instance": "instance <i> <x> <y>"},
+        ignore=_REPORT_FIELDS if magic == REPORT_MAGIC else (),
+    )
+    n = fields["n"]
+    instances = sorted(
+        (
+            (_number(int, t[1], ln), _number(float, t[2], ln), _number(float, t[3], ln))
+            for ln, t in rows["instance"]
+        ),
+        key=lambda row: row[0],
+    )
+    if len(instances) != n:
+        raise TraceValidationError(
+            f"expected {n} instance records, found {len(instances)}",
+            rule="instance-count",
+        )
+    if [row[0] for row in instances] != list(range(n)):
+        raise TraceValidationError(
+            f"instance indices must cover 0..{n - 1} exactly once",
+            rule="instance-contiguous",
+        )
+    return Dataset([row[1] for row in instances], [row[2] for row in instances])
 
 
 def dumps_trace(trace, digits=None):

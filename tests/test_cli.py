@@ -55,6 +55,16 @@ def test_dataset_file_validation(tmp_path):
         load_text("traceinv-dataset 1\nn 1\nmystery 0 0.6 0.5\n")
     with pytest.raises(ValueError):
         load_text("traceinv-dataset 1\nn 1\ninstance 0 nan 0.5\n")
+    # a report's own fields are optional, but each takes one value, once
+    report = "traceinv-report 1\nn 1\ninstance 0 0.6 0.5\n"
+    assert load_text(report) == Dataset([0.6], [0.5])
+    with pytest.raises(TraceParseError):
+        load_text(report + "converged maybe banana\n")
+    with pytest.raises(TraceValidationError) as excinfo:
+        load_text(report + "starts_tried 1\nstarts_tried 2\n")
+    assert excinfo.value.rule == "duplicate-field"
+    with pytest.raises(TraceParseError):  # report fields are unknown to a dataset
+        load_text("traceinv-dataset 1\nn 1\ninstance 0 0.6 0.5\nconverged true\n")
 
 
 # --- train ------------------------------------------------------------------
@@ -121,6 +131,11 @@ def test_train_usage_errors(tmp_path, capsys):
     assert run("train", "--dataset", str(dpath), "--x", "0.6") == 2
     assert run("train", "--dataset", str(tmp_path / "missing.dataset")) == 2
     assert run("train", "--x", "0.6", "--y", "0.5", "--eta", "-1") == 2
+    out = tmp_path / "never.trace"
+    for digits in ("0", "-1"):
+        assert run("train", "--x", "0.6", "--y", "0.5", "--precision", digits,
+                   "-o", str(out)) == 2
+    assert not out.exists()
     err = capsys.readouterr().err
     assert "error:" in err
 
@@ -239,6 +254,12 @@ def test_verify_threshold_flag(tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", str(tpath), str(off), "--threshold", "0.1") == 0
     capsys.readouterr()
+    exact = tmp_path / "exact.dataset"
+    save_dataset(Dataset([0.6], [0.5]), exact)
+    assert run("verify", str(tpath), str(exact)) == 0
+    for threshold in ("nan", "-1"):
+        assert run("verify", str(tpath), str(exact), "--threshold", threshold) == 2
+    assert "threshold must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_size_mismatch(tmp_path, capsys):

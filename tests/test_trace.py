@@ -18,7 +18,7 @@ from traceinv import (
     save_trace,
     train,
 )
-from traceinv.trace import format_float
+from traceinv.trace import format_float, load_dataset
 
 from conftest import make_trace, random_dataset
 
@@ -47,6 +47,9 @@ def test_format_float_round_trips(rng):
 def test_format_float_fixed_digits():
     assert format_float(0.4925471634869269, digits=7) == "0.4925472"
     assert format_float(0.5, digits=7) == "0.5"
+    for digits in (0, -1):
+        with pytest.raises(ValueError):
+            format_float(0.5, digits=digits)
 
 
 def test_round_trip_through_string(rng):
@@ -149,6 +152,46 @@ def test_bad_headers():
     expect_parse_error("", "missing header")
     expect_parse_error("something-else 1\neta 0.1\n", "expected header")
     expect_parse_error("traceinv-trace 99\neta 0.1\n", "version")
+
+
+# one valid file per format, and a header that the format's reader must reject
+FORMATS = {
+    "trace": (load_trace, HEADER + "eta 0.1\nn 1\nepochs 1\nepoch 0 0.5 0.5\n",
+              "traceinv-dataset 1"),
+    "dataset": (load_dataset, "traceinv-dataset 1\nn 1\ninstance 0 0.6 0.5\n",
+                "traceinv-trace 1"),
+    "report": (load_dataset,
+               "traceinv-report 1\nn 1\nconverged true\nresidual_norm 0.0\n"
+               "iterations 0\nstarts_tried 1\ninstance 0 0.6 0.5\n",
+               "traceinv-trace 1"),
+}
+
+
+@pytest.mark.parametrize("source", ["path", "text", "bytes"])
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_readers_check_headers_from_any_source(fmt, source, tmp_path):
+    load, text, wrong_header = FORMATS[fmt]
+
+    def opened(text):
+        if source == "text":
+            return io.StringIO(text)
+        if source == "bytes":
+            return io.BytesIO(text.encode("utf-8"))
+        path = tmp_path / f"{fmt}.txt"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    assert load(opened(text)).n == 1
+    header, body = text.split("\n", 1)
+    magic = header.split()[0]
+    for bad, fragment in [
+        ("", "missing header"),
+        (f"{wrong_header}\n{body}", "expected header"),
+        (f"{magic} 99\n{body}", "version"),
+    ]:
+        with pytest.raises(TraceParseError) as excinfo:
+            load(opened(bad))
+        assert fragment in str(excinfo.value)
 
 
 def test_missing_and_duplicate_fields():
