@@ -6,8 +6,6 @@ recorded *before* the update, which is exactly the information a party
 in a parameter-broadcasting protocol would observe.
 """
 
-import io
-
 from traceinv import Dataset, Params, TrainConfig, dumps_trace, loads_trace, train
 
 data = Dataset(xs=[0.6, 0.2, 0.8], ys=[0.5, 0.4, 0.55])

@@ -7,8 +7,10 @@ dataset and compare traces), and ``feasibility`` (equation/unknown
 counting for wider networks).
 
 Exit codes: 0 success; 1 runtime failure (training diverged,
-verification FAIL); 2 usage or input error; 3 reconstruction finished
-without converging (the report is still written).
+verification FAIL, output could not be written); 2 usage or input
+error; 3 reconstruction finished without converging (the report is
+still written).  ``main`` maps exceptions to these codes: a handler
+raises ``RuntimeError`` for 1 and ``OSError``/``ValueError`` for 2.
 
 The trace, dataset, and report file formats live in ``trace``.
 """
@@ -20,19 +22,9 @@ import sys
 
 from .model import Dataset, Params, TrainConfig, TrainingDivergedError, train
 from .solver import SolverConfig, solve, verify_reconstruction
-from .system import (
-    InsufficientTraceError,
-    NetworkShape,
-    ReconstructionProblem,
-    feasibility,
-)
+from .system import NetworkShape, ReconstructionProblem, feasibility
 from .tables import demo_tables
-# save_dataset is unused here; callers of traceinv.cli import it from this module
-from .trace import load_dataset, load_trace, save_dataset, save_report, save_trace
-
-
-def _destination(path):
-    return sys.stdout if path == "-" else path
+from .trace import load_dataset, load_trace, save_report, save_trace
 
 
 def _fail(message, code):
@@ -40,33 +32,31 @@ def _fail(message, code):
     return code
 
 
+def _save(save, obj, path, **kwargs):
+    """Write ``obj`` with ``save`` to ``path`` ("-" is stdout); a failed
+    write is a runtime failure (exit 1), not an input error."""
+    try:
+        save(obj, sys.stdout if path == "-" else path, **kwargs)
+    except OSError as exc:
+        raise RuntimeError(exc) from exc
+
+
 def cmd_train(args):
     if args.dataset is not None and (args.x or args.y):
         return _fail("give either --dataset or inline --x/--y values, not both", 2)
     if args.precision is not None and args.precision < 1:
         return _fail(f"--precision must be >= 1, got {args.precision}", 2)
-    try:
-        if args.dataset is not None:
-            data = load_dataset(args.dataset)
-        else:
-            if not args.x or not args.y:
-                return _fail("no dataset: pass --dataset FILE or --x/--y pairs", 2)
-            if len(args.x) != len(args.y):
-                return _fail(
-                    f"got {len(args.x)} --x values but {len(args.y)} --y values", 2
-                )
-            data = Dataset(args.x, args.y)
-        cfg = TrainConfig(eta=args.eta, epochs=args.epochs, init=Params(args.w0, args.b0))
-    except (OSError, ValueError) as exc:
-        return _fail(exc, 2)
-    try:
-        trace = train(data, cfg, debug=args.debug)
-    except TrainingDivergedError as exc:
-        return _fail(exc, 1)
-    try:
-        save_trace(trace, _destination(args.output), digits=args.precision)
-    except OSError as exc:
-        return _fail(exc, 1)
+    if args.dataset is not None:
+        data = load_dataset(args.dataset)
+    elif not args.x or not args.y:
+        return _fail("no dataset: pass --dataset FILE or --x/--y pairs", 2)
+    elif len(args.x) != len(args.y):
+        return _fail(f"got {len(args.x)} --x values but {len(args.y)} --y values", 2)
+    else:
+        data = Dataset(args.x, args.y)
+    cfg = TrainConfig(eta=args.eta, epochs=args.epochs, init=Params(args.w0, args.b0))
+    trace = train(data, cfg, debug=args.debug)
+    _save(save_trace, trace, args.output, digits=args.precision)
     return 0
 
 
@@ -76,30 +66,19 @@ def cmd_tables(args):
 
 
 def cmd_reconstruct(args):
-    try:
-        trace = load_trace(args.trace)
-        problem = ReconstructionProblem(trace)
-        cfg = SolverConfig(
-            max_iterations=args.max_iterations,
-            residual_tolerance=args.residual_tolerance,
-            step_tolerance=args.step_tolerance,
-            damping_init=args.damping_init,
-            multistart_count=args.multistart_count,
-            seed=args.seed,
-            box_bounds=tuple(args.box_bounds) if args.box_bounds else None,
-            allow_underdetermined=args.allow_underdetermined,
-        )
-    except (OSError, ValueError) as exc:
-        # covers parse/validation errors, bad solver flags, and E < 2
-        return _fail(exc, 2)
-    try:
-        result = solve(problem, cfg)
-    except InsufficientTraceError as exc:
-        return _fail(exc, 2)
-    try:
-        save_report(result, _destination(args.output))
-    except OSError as exc:
-        return _fail(exc, 1)
+    problem = ReconstructionProblem(load_trace(args.trace))
+    cfg = SolverConfig(
+        max_iterations=args.max_iterations,
+        residual_tolerance=args.residual_tolerance,
+        step_tolerance=args.step_tolerance,
+        damping_init=args.damping_init,
+        multistart_count=args.multistart_count,
+        seed=args.seed,
+        box_bounds=tuple(args.box_bounds) if args.box_bounds else None,
+        allow_underdetermined=args.allow_underdetermined,
+    )
+    result = solve(problem, cfg)
+    _save(save_report, result, args.output)
     if args.output != "-":
         status = "converged" if result.converged else "did not converge"
         print(
@@ -111,15 +90,12 @@ def cmd_reconstruct(args):
 
 
 def cmd_verify(args):
+    trace = load_trace(args.trace)
+    data = load_dataset(args.dataset)
     try:
-        trace = load_trace(args.trace)
-        data = load_dataset(args.dataset)
         report = verify_reconstruction(trace, data, threshold=args.threshold)
-    except (OSError, ValueError) as exc:
-        # covers unreadable files and trace/dataset size mismatch
-        return _fail(exc, 2)
     except TrainingDivergedError as exc:
-        return _fail(f"retraining on the recovered dataset diverged: {exc}", 1)
+        raise RuntimeError(f"retraining on the recovered dataset diverged: {exc}") from exc
     for j in range(trace.epochs):
         print(f"epoch {j}  |dw| {report.dw[j]:.3e}  |db| {report.db[j]:.3e}")
     verdict = "PASS" if report.passed else "FAIL"
@@ -131,15 +107,9 @@ def cmd_verify(args):
 
 
 def cmd_feasibility(args):
-    try:
-        shape = NetworkShape(
-            width=args.width,
-            layers=args.layers,
-            instances=args.instances,
-            epochs=args.epochs,
-        )
-    except ValueError as exc:
-        return _fail(exc, 2)
+    shape = NetworkShape(
+        width=args.width, layers=args.layers, instances=args.instances, epochs=args.epochs
+    )
     report = feasibility(shape)
     print(f"unknowns   {report.unknowns}")
     print(f"equations  {report.equations}")
@@ -187,20 +157,22 @@ def build_parser():
 
     p = sub.add_parser("reconstruct", help="recover the training data behind a trace")
     p.add_argument("trace", help="trace file to invert")
-    p.add_argument("--max-iterations", type=int, default=200,
+    p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations,
                    help="each start stops after 2x this many residual "
-                        "evaluations (default 200)")
-    p.add_argument("--residual-tolerance", type=float, default=1e-10,
-                   help="max-norm required for convergence (default 1e-10)")
-    p.add_argument("--step-tolerance", type=float, default=1e-12,
-                   help="relative step tolerance, MINPACK xtol (default 1e-12)")
-    p.add_argument("--damping-init", type=float, default=1e-3,
+                        "evaluations (default %(default)s)")
+    p.add_argument("--residual-tolerance", type=float,
+                   default=SolverConfig.residual_tolerance,
+                   help="max-norm required for convergence (default %(default)s)")
+    p.add_argument("--step-tolerance", type=float, default=SolverConfig.step_tolerance,
+                   help="relative step tolerance, MINPACK xtol (default %(default)s)")
+    p.add_argument("--damping-init", type=float, default=SolverConfig.damping_init,
                    help="deprecated: validated but unused, MINPACK sets its "
                         "own initial step bound")
-    p.add_argument("--multistart-count", type=int, default=16,
-                   help="start points to try before giving up (default 16)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the random start points (default 0)")
+    p.add_argument("--multistart-count", type=int,
+                   default=SolverConfig.multistart_count,
+                   help="start points to try before giving up (default %(default)s)")
+    p.add_argument("--seed", type=int, default=SolverConfig.seed,
+                   help="seed for the random start points (default %(default)s)")
     p.add_argument("--box-bounds", nargs=2, type=float, metavar=("LO", "HI"),
                    default=None,
                    help="keep iterates inside [LO, HI]; needs LO < HI")
@@ -233,7 +205,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RuntimeError as exc:  # includes TrainingDivergedError
+        return _fail(exc, 1)
+    except (OSError, ValueError) as exc:  # unreadable or invalid input
+        return _fail(exc, 2)
 
 
 def entry():

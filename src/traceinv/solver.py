@@ -33,7 +33,8 @@ from .system import InsufficientTraceError, ReconstructionProblem, jacobian, res
 
 
 class DegenerateTraceError(ValueError):
-    """The closed-form division is undefined because b never moved."""
+    """A closed-form division is undefined: b never moved, or tanh
+    saturates at the recovered x so that 1 - T(x)^2 is 0."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class SolverConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         for name in ("residual_tolerance", "step_tolerance", "damping_init"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be > 0")
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be >= 1")
@@ -213,21 +214,25 @@ def solve_n1(problem, residual_tolerance=1e-10):
 
     Later transitions act as consistency checks: the reported residual
     norm covers the whole system.  Raises DegenerateTraceError when
-    |t_b| < 1e-14 (the bias never moved, so the division is undefined).
+    |t_b| < 1e-14 (the bias never moved) or when 1 - T(x)^2 is 0 (tanh
+    saturates at x), since either division is then undefined.
     """
     if problem.n != 1:
         raise ValueError(f"closed form applies to n=1 only, problem has n={problem.n}")
     tr = problem.trace
-    c = 1.0 / (2.0 * tr.eta)
-    t_w = c * (tr.ws[0] - tr.ws[1])
-    t_b = c * (tr.bs[0] - tr.bs[1])
+    t_w, t_b = problem.rhs[:2]
     if abs(t_b) < 1e-14:
         raise DegenerateTraceError(
             "bias did not move between epochs 0 and 1; x is undetermined by division"
         )
     x = t_w / t_b
     T = np.tanh(tr.ws[0] * x + tr.bs[0])
-    y = T - t_b / (1.0 - T**2)
+    S = 1.0 - T**2
+    if S == 0.0:
+        raise DegenerateTraceError(
+            f"tanh saturates at the recovered x={x:g}; y is undetermined by division"
+        )
+    y = T - t_b / S
     z = np.array([x, y])
     rnorm = float(np.max(np.abs(residuals(z, problem))))
     return ReconstructionResult(

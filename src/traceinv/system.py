@@ -21,7 +21,7 @@ have a unique (or any) solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,15 +37,31 @@ class ReconstructionProblem:
     """A trace bundled with the derived residual-system dimensions.
 
     The solver reads only the public part of the trace (eta, n, ws, bs);
-    any debug block is deliberately ignored.
+    any debug block is deliberately ignored.  ``rhs`` holds the
+    right-hand sides n/(2 eta) * (w_j - w_{j+1}) and n/(2 eta) * (b_j -
+    b_{j+1}), interleaved like the residuals.  Raises
+    InsufficientTraceError below 2 epochs, and ValueError when a
+    right-hand side overflows to a non-finite value.
     """
 
     trace: ParamTrace
+    rhs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.trace.epochs < 2:
+        tr = self.trace
+        if tr.epochs < 2:
             raise InsufficientTraceError(
-                f"need at least 2 epochs to form equations, trace has {self.trace.epochs}"
+                f"need at least 2 epochs to form equations, trace has {tr.epochs}"
+            )
+        self.rhs = np.empty(self.num_residuals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = tr.n / (2.0 * tr.eta)
+            self.rhs[0::2] = c * (tr.ws[:-1] - tr.ws[1:])
+            self.rhs[1::2] = c * (tr.bs[:-1] - tr.bs[1:])
+        if not np.all(np.isfinite(self.rhs)):
+            raise ValueError(
+                "trace equations overflow: n/(2 eta) times a parameter step "
+                "is not finite"
             )
 
     @property
@@ -95,11 +111,10 @@ def residuals(z, problem):
     w, b = tr.ws[:-1], tr.bs[:-1]
     T = np.tanh(np.outer(w, x) + b[:, None])  # (E-1, n)
     Z = (T - y) * (1.0 - T**2)
-    c = n / (2.0 * tr.eta)
     out = np.empty(problem.num_residuals)
-    out[0::2] = Z @ x - c * (tr.ws[:-1] - tr.ws[1:])
-    out[1::2] = Z.sum(axis=1) - c * (tr.bs[:-1] - tr.bs[1:])
-    return out
+    out[0::2] = Z @ x
+    out[1::2] = Z.sum(axis=1)
+    return out - problem.rhs
 
 
 def jacobian(z, problem):

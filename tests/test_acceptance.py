@@ -35,7 +35,8 @@ from traceinv import (
     solve_n1,
     train,
 )
-from traceinv.cli import main as cli_main, save_dataset
+from traceinv.cli import main as cli_main
+from traceinv.trace import save_dataset
 
 from conftest import make_trace
 

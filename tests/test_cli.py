@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from traceinv import Dataset, TrainConfig, load_trace, train
-from traceinv.cli import load_dataset, main, save_dataset
-from traceinv.trace import TraceParseError, TraceValidationError
+from traceinv.cli import load_dataset, main
+from traceinv.trace import TraceParseError, TraceValidationError, save_dataset
 
 from conftest import reference_loop
 
@@ -200,7 +200,26 @@ def test_reconstruct_input_errors(tmp_path, capsys):
     assert run("reconstruct", str(tpath), "--multistart-count", "0") == 2
     assert run("reconstruct", str(tpath), "--box-bounds", "1", "-1") == 2
     assert run("reconstruct", str(tpath), "--box-bounds", "0.5", "0.5") == 2
+    for flag in ("--residual-tolerance", "--step-tolerance", "--damping-init"):
+        assert run("reconstruct", str(tpath), flag, "nan") == 2
+    # n/(2 eta) * (w_0 - w_1) overflows to inf
+    huge = tmp_path / "huge.trace"
+    huge.write_text(
+        "traceinv-trace 1\neta 0.1\nn 1\nepochs 2\n"
+        "epoch 0 1e308 0.5\nepoch 1 -1e308 0.4\n"
+    )
+    assert run("reconstruct", str(huge)) == 2
+    assert run("reconstruct", str(huge), "--box-bounds", "-1", "1") == 2
     capsys.readouterr()
+
+
+def test_unwritable_output_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run("train", "--x", "0.6", "--y", "0.5", "-o", str(missing / "x.trace")) == 1
+    tpath = tmp_path / "ok.trace"
+    run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath))
+    assert run("reconstruct", str(tpath), "-o", str(missing / "r.report")) == 1
+    assert capsys.readouterr().err.count("error:") == 2
 
 
 def test_reconstruct_nonconvergence_exit_code(tmp_path, capsys):
@@ -271,6 +290,15 @@ def test_verify_size_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_verify_retraining_diverged(tmp_path, capsys):
+    tpath = tmp_path / "run.trace"
+    run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath))
+    wild = tmp_path / "wild.dataset"
+    save_dataset(Dataset([0.0], [1e12]), wild)
+    assert run("verify", str(tpath), str(wild)) == 1
+    assert "retraining on the recovered dataset diverged" in capsys.readouterr().err
+
+
 # --- feasibility ------------------------------------------------------------
 
 
@@ -310,6 +338,16 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         run("not-a-command")
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand", ["train", "tables", "reconstruct", "verify", "feasibility"]
+)
+def test_subcommand_help_exits_zero(subcommand, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(subcommand, "--help")
+    assert excinfo.value.code == 0
+    assert f"usage: traceinv {subcommand}" in capsys.readouterr().out
 
 
 def test_module_entry_point_runs():

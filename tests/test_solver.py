@@ -10,6 +10,7 @@ from traceinv import (
     DegenerateTraceError,
     InsufficientTraceError,
     Params,
+    ParamTrace,
     ReconstructionProblem,
     SolverConfig,
     TrainConfig,
@@ -70,9 +71,14 @@ def test_closed_form_uses_later_epochs_as_consistency_check():
 def test_closed_form_degenerate_when_bias_frozen():
     x = 0.3
     y = float(np.tanh(0.5 * x + 0.5))  # perfectly fit point, zero gradients
-    p = problem_for(Dataset([x], [y]), epochs=3)
-    with pytest.raises(DegenerateTraceError):
-        solve_n1(p)
+    frozen = problem_for(Dataset([x], [y]), epochs=3)
+    # the bias barely moves, so x = 110 saturates tanh and 1 - T^2 is 0
+    saturated = ReconstructionProblem(
+        ParamTrace(eta=0.1, n=1, ws=[0.5, 0.489], bs=[0.5, 0.4999])
+    )
+    for p in (frozen, saturated):
+        with pytest.raises(DegenerateTraceError):
+            solve_n1(p)
 
 
 def test_closed_form_rejects_multi_instance(rng):
@@ -194,6 +200,9 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(residual_tolerance=0.0)
+    for name in ("residual_tolerance", "step_tolerance", "damping_init"):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: float("nan")})
     with pytest.raises(ValueError):
         SolverConfig(multistart_count=0)
     for bounds in ((1.0, -1.0), (0.5, 0.5)):
