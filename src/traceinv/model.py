@@ -1,11 +1,11 @@
 """The minimal neuron: 1 input, 1 output, tanh activation, MSE loss.
 
-The network computes ``yhat_i = tanh(w * x_i + b)`` and is trained by
-full-batch gradient descent on the mean squared error.  With
-``d/dz tanh(z) = 1 - tanh(z)^2`` the exact partial derivatives are
+The network computes ``yhat_i = T_i = tanh(w * x_i + b)``, trained by
+full-batch gradient descent on the mean squared error.  With d/dz tanh =
+1 - tanh^2 and ``Z_i = (T_i - y_i) * (1 - T_i^2)`` the exact gradient is
 
-    d mse / d w = (1/n) * sum_i 2 * x_i * (yhat_i - y_i) * (1 - yhat_i^2)
-    d mse / d b = (1/n) * sum_i 2 *       (yhat_i - y_i) * (1 - yhat_i^2)
+    d mse / d w = (2/n) * sum_i x_i * Z_i
+    d mse / d b = (2/n) * sum_i       Z_i
 
 and each epoch applies ``w -= eta * dw; b -= eta * db``.  ``train``
 records the parameters *before* each update, so epoch j of the trace
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trace import ParamTrace, TraceDebug
+from .trace import Dataset, ParamTrace, TraceDebug  # Dataset: train's input, re-exported
 
 # training aborts once |w| or |b| leaves this range
 DIVERGENCE_LIMIT = 1e6
@@ -33,37 +33,6 @@ class TrainingDivergedError(RuntimeError):
             f"training diverged at epoch {epoch}: w={w!r}, b={b!r} "
             f"(limit {DIVERGENCE_LIMIT:g})"
         )
-
-
-@dataclass
-class Dataset:
-    """Paired input/label vectors; the secret the attack tries to recover."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        self.xs = np.atleast_1d(np.asarray(self.xs, dtype=float))
-        self.ys = np.atleast_1d(np.asarray(self.ys, dtype=float))
-        if self.xs.ndim != 1 or self.ys.ndim != 1:
-            raise ValueError("xs and ys must be 1-d")
-        if len(self.xs) != len(self.ys):
-            raise ValueError(
-                f"xs and ys must have equal length, got {len(self.xs)} and {len(self.ys)}"
-            )
-        if len(self.xs) == 0:
-            raise ValueError("dataset must contain at least one instance")
-        if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
-            raise ValueError("dataset values must be finite")
-
-    @property
-    def n(self):
-        return len(self.xs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
 
 
 @dataclass(frozen=True)
@@ -93,6 +62,19 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
+def _tanh_terms(w, b, x, y):
+    """T = tanh(w*x + b), S = 1 - T^2 and Z = (T - y) S.  ``w`` and ``b``
+    broadcast: scalars give one epoch, columns ``ws[:, None]`` one per row."""
+    T = np.tanh(w * x + b)
+    S = 1.0 - T**2
+    return T, S, (T - y) * S
+
+
+def _gradient(w, b, xs, ys):
+    _, _, Z = _tanh_terms(w, b, xs, ys)
+    return 2.0 * float(np.mean(xs * Z)), 2.0 * float(np.mean(Z))
+
+
 def forward(params, xs):
     """Network outputs tanh(w*x + b) for a vector of inputs.
 
@@ -104,7 +86,7 @@ def forward(params, xs):
         raise ValueError("input vector must be non-empty")
     if not np.all(np.isfinite(xs)):
         raise ValueError("inputs must be finite")
-    return np.tanh(params.w * xs + params.b)
+    return _tanh_terms(params.w, params.b, xs, 0.0)[0]
 
 
 def mse(yhat, ys):
@@ -122,11 +104,7 @@ def mse(yhat, ys):
 
 def gradients(params, data):
     """Exact partial derivatives (d mse/d w, d mse/d b) at ``params``."""
-    yhat = forward(params, data.xs)
-    base = 2.0 * (yhat - data.ys) * (1.0 - yhat**2)
-    dw = float(np.mean(data.xs * base))
-    db = float(np.mean(base))
-    return dw, db
+    return _gradient(params.w, params.b, data.xs, data.ys)
 
 
 def train(data, cfg, debug=False):
@@ -140,23 +118,18 @@ def train(data, cfg, debug=False):
     w, b = cfg.init.w, cfg.init.b
     ws = np.empty(cfg.epochs)
     bs = np.empty(cfg.epochs)
-    yhat_rows = np.empty((cfg.epochs, data.n)) if debug else None
-    losses = np.empty(cfg.epochs) if debug else None
-
-    for j in range(cfg.epochs):
-        ws[j] = w
-        bs[j] = b
-        yhat = np.tanh(w * data.xs + b)
-        if debug:
-            yhat_rows[j] = yhat
-            losses[j] = float(np.mean((yhat - data.ys) ** 2))
-        if j == cfg.epochs - 1:
-            break  # the update after the last recorded epoch is unobservable
-        base = 2.0 * (yhat - data.ys) * (1.0 - yhat**2)
-        w = w - cfg.eta * float(np.mean(data.xs * base))
-        b = b - cfg.eta * float(np.mean(base))
+    ws[0], bs[0] = w, b
+    # the update after the last recorded epoch is unobservable, so E-1 steps
+    for j in range(1, cfg.epochs):
+        dw, db = _gradient(w, b, data.xs, data.ys)
+        w = w - cfg.eta * dw
+        b = b - cfg.eta * db
         if not (np.isfinite(w) and np.isfinite(b)) or max(abs(w), abs(b)) > DIVERGENCE_LIMIT:
-            raise TrainingDivergedError(j + 1, w, b)
+            raise TrainingDivergedError(j, w, b)
+        ws[j], bs[j] = w, b
 
-    trace_debug = TraceDebug(yhat_rows, losses) if debug else None
+    trace_debug = None
+    if debug:
+        yhat = _tanh_terms(ws[:, None], bs[:, None], data.xs, 0.0)[0]
+        trace_debug = TraceDebug(yhat, [mse(row, data.ys) for row in yhat])
     return ParamTrace(eta=cfg.eta, n=data.n, ws=ws, bs=bs, debug=trace_debug)

@@ -28,13 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares, leastsq, linear_sum_assignment
 
-from .model import Dataset, Params, TrainConfig, train
+from .model import Dataset, Params, TrainConfig, _tanh_terms, train
 from .system import InsufficientTraceError, ReconstructionProblem, jacobian, residuals
 
 
 class DegenerateTraceError(ValueError):
-    """A closed-form division is undefined: b never moved, or tanh
-    saturates at the recovered x so that 1 - T(x)^2 is 0."""
+    """A closed-form division is undefined: b never moved, tanh saturates
+    at the recovered x so that 1 - T(x)^2 is 0, or a quotient overflows."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class SolverConfig:
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not 1 <= self.max_iterations <= 2**30 - 1:  # 2x is MINPACK's C-int maxfev
+            raise ValueError("max_iterations must be in 1..1073741823")
         for name in ("residual_tolerance", "step_tolerance", "damping_init"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be > 0")
@@ -214,8 +214,8 @@ def solve_n1(problem, residual_tolerance=1e-10):
 
     Later transitions act as consistency checks: the reported residual
     norm covers the whole system.  Raises DegenerateTraceError when
-    |t_b| < 1e-14 (the bias never moved) or when 1 - T(x)^2 is 0 (tanh
-    saturates at x), since either division is then undefined.
+    |t_b| < 1e-14 (the bias never moved), or when y is not finite: tanh
+    saturates at x, so 1 - T(x)^2 is 0, or a quotient overflows.
     """
     if problem.n != 1:
         raise ValueError(f"closed form applies to n=1 only, problem has n={problem.n}")
@@ -225,14 +225,14 @@ def solve_n1(problem, residual_tolerance=1e-10):
         raise DegenerateTraceError(
             "bias did not move between epochs 0 and 1; x is undetermined by division"
         )
-    x = t_w / t_b
-    T = np.tanh(tr.ws[0] * x + tr.bs[0])
-    S = 1.0 - T**2
-    if S == 0.0:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = t_w / t_b
+        T, S, _ = _tanh_terms(tr.ws[0], tr.bs[0], x, 0.0)
+        y = T - t_b / S
+    if not np.isfinite(y):
         raise DegenerateTraceError(
-            f"tanh saturates at the recovered x={x:g}; y is undetermined by division"
+            f"tanh saturates at the recovered x={x:g} or a quotient overflows"
         )
-    y = T - t_b / S
     z = np.array([x, y])
     rnorm = float(np.max(np.abs(residuals(z, problem))))
     return ReconstructionResult(
@@ -257,7 +257,7 @@ def match_solutions(recovered, truth):
     dx = np.abs(recovered.xs[:, None] - truth.xs[None, :])
     dy = np.abs(recovered.ys[:, None] - truth.ys[None, :])
     rows, cols = linear_sum_assignment(dx + dy)
-    pairing = tuple(int(cols[np.argwhere(rows == i)[0, 0]]) for i in range(recovered.n))
+    pairing = tuple(cols.tolist())  # rows is arange(n) for a square matrix
     max_err = float(np.max(np.maximum(dx[rows, cols], dy[rows, cols])))
     return MatchReport(pairing=pairing, max_abs_error=max_err)
 

@@ -8,9 +8,10 @@ gradient at epoch j, giving two equations in the 2n unknowns
     sum_i       Z_j(x_i, y_i) = n/(2 eta) * (b_j - b_{j+1})
 
 with ``T_j(x) = tanh(w_j x + b_j)`` and ``Z_j(x, y) = (T_j(x) - y) *
-(1 - T_j(x)^2)``.  ``residuals`` returns left minus right for every
-transition, interleaved as (r_w(0), r_b(0), r_w(1), r_b(1), ...), and
-``jacobian`` its exact derivative matrix.
+(1 - T_j(x)^2)``: the training gradient rescaled by n/(2 eta).
+``residuals`` returns left minus right for every transition, interleaved
+as (r_w(0), r_b(0), ...), and ``jacobian`` its exact derivative matrix;
+both evaluate T and Z with the trainer's kernel, ``model._tanh_terms``.
 
 ``feasibility`` does the equation-vs-unknown counting for wider and
 deeper fully connected networks.  The count is a necessary heuristic
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import _tanh_terms
 from .trace import ParamTrace
 
 
@@ -108,9 +110,7 @@ def residuals(z, problem):
     n = problem.n
     x, y = z[:n], z[n:]
     tr = problem.trace
-    w, b = tr.ws[:-1], tr.bs[:-1]
-    T = np.tanh(np.outer(w, x) + b[:, None])  # (E-1, n)
-    Z = (T - y) * (1.0 - T**2)
+    _, _, Z = _tanh_terms(tr.ws[:-1, None], tr.bs[:-1, None], x, y)  # (E-1, n)
     out = np.empty(problem.num_residuals)
     out[0::2] = Z @ x
     out[1::2] = Z.sum(axis=1)
@@ -128,11 +128,9 @@ def jacobian(z, problem):
     n = problem.n
     x, y = z[:n], z[n:]
     tr = problem.trace
-    w = tr.ws[:-1]
-    T = np.tanh(np.outer(w, x) + tr.bs[:-1, None])
-    S = 1.0 - T**2
-    Z = (T - y) * S
-    dZdx = w[:, None] * S * (S - 2.0 * T * (T - y))
+    w = tr.ws[:-1, None]
+    T, S, Z = _tanh_terms(w, tr.bs[:-1, None], x, y)
+    dZdx = w * S * (S - 2.0 * T * (T - y))
     J = np.empty((problem.num_residuals, 2 * n))
     J[0::2, :n] = Z + x * dZdx
     J[0::2, n:] = -x * S

@@ -1,11 +1,11 @@
-"""Parameter traces and the on-disk text formats of traces, datasets, and
-reconstruction reports.
+"""Datasets, parameter traces, and the on-disk text formats of traces,
+datasets, and reconstruction reports.
 
-A trace is the eavesdropper's entire view of a training run: the learning
-rate, the (public) dataset size, and the per-epoch weight/bias values.  An
-optional debug block additionally stores per-epoch predictions and loss;
-it exists for inspection and testing only and is never consumed by the
-reconstruction code.
+A dataset is the secret; a trace is the eavesdropper's entire view of a
+training run: the learning rate, the (public) dataset size, and the
+per-epoch weight/bias values.  An optional debug block additionally
+stores per-epoch predictions and loss; it exists for inspection and
+testing only and is never consumed by the reconstruction code.
 
 Trace file format (line oriented, one token group per line)::
 
@@ -63,6 +63,37 @@ class TraceValidationError(ValueError):
     def __init__(self, message, rule):
         self.rule = rule
         super().__init__(f"{message} [rule: {rule}]")
+
+
+@dataclass
+class Dataset:
+    """Paired input/label vectors; the secret the attack tries to recover."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self):
+        self.xs = np.atleast_1d(np.asarray(self.xs, dtype=float))
+        self.ys = np.atleast_1d(np.asarray(self.ys, dtype=float))
+        if self.xs.ndim != 1 or self.ys.ndim != 1:
+            raise ValueError("xs and ys must be 1-d")
+        if len(self.xs) != len(self.ys):
+            raise ValueError(
+                f"xs and ys must have equal length, got {len(self.xs)} and {len(self.ys)}"
+            )
+        if len(self.xs) == 0:
+            raise ValueError("dataset must contain at least one instance")
+        if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
+            raise ValueError("dataset values must be finite")
+
+    @property
+    def n(self):
+        return len(self.xs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
 
 
 @dataclass
@@ -365,8 +396,6 @@ _REPORT_FIELDS = ("converged", "residual_norm", "iterations", "starts_tried")
 
 def load_dataset(source):
     """Read a dataset from a dataset file or a reconstruction report."""
-    from .model import Dataset  # model imports this module; import here to avoid the cycle
-
     magic, records = iter_records(source, DATASET_MAGIC, REPORT_MAGIC)
     fields, rows = _parse(
         records,

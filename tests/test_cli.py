@@ -198,6 +198,7 @@ def test_reconstruct_input_errors(tmp_path, capsys):
     tpath = tmp_path / "ok.trace"
     run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath))
     assert run("reconstruct", str(tpath), "--multistart-count", "0") == 2
+    assert run("reconstruct", str(tpath), "--max-iterations", "1073741824") == 2
     assert run("reconstruct", str(tpath), "--box-bounds", "1", "-1") == 2
     assert run("reconstruct", str(tpath), "--box-bounds", "0.5", "0.5") == 2
     for flag in ("--residual-tolerance", "--step-tolerance", "--damping-init"):

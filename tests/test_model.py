@@ -128,6 +128,26 @@ def test_train_matches_reference_loop(rng):
         assert tr.eta == eta and tr.n == n and tr.epochs == epochs
 
 
+def test_train_steps_are_exact_gradient_steps(rng):
+    # each broadcast step is exactly -eta times the batch gradient, which is
+    # the identity the attack inverts; the debug block is forward and mse
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        data = random_dataset(rng, n)
+        eta = float(rng.uniform(0.01, 2.0))
+        epochs = int(rng.integers(1, 12))
+        init = Params(*rng.uniform(-1, 1, 2))
+        tr = train(data, TrainConfig(eta=eta, epochs=epochs, init=init), debug=True)
+        for j in range(epochs):
+            params = Params(tr.ws[j], tr.bs[j])
+            assert np.array_equal(tr.debug.yhat[j], forward(params, data.xs))
+            assert tr.debug.loss[j] == mse(forward(params, data.xs), data.ys)
+            if j + 1 < epochs:
+                dw, db = gradients(params, data)
+                assert tr.ws[j + 1] == tr.ws[j] - eta * dw
+                assert tr.bs[j + 1] == tr.bs[j] - eta * db
+
+
 def test_train_records_before_updating():
     data = Dataset([0.6], [0.5])
     cfg = TrainConfig(eta=0.1, epochs=2)

@@ -76,7 +76,11 @@ def test_closed_form_degenerate_when_bias_frozen():
     saturated = ReconstructionProblem(
         ParamTrace(eta=0.1, n=1, ws=[0.5, 0.489], bs=[0.5, 0.4999])
     )
-    for p in (frozen, saturated):
+    # the bias moves just past the cutoff, so x = t_w / t_b overflows
+    overflowing = ReconstructionProblem(
+        ParamTrace(eta=0.1, n=1, ws=[0.5, 0.5 - 1e299], bs=[0.5, 0.5 - 4e-15])
+    )
+    for p in (frozen, saturated, overflowing):
         with pytest.raises(DegenerateTraceError):
             solve_n1(p)
 
@@ -198,6 +202,10 @@ def test_box_bounds_clip_the_iterates(rng):
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
+    # 2 * max_iterations is MINPACK's maxfev, a C int
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverConfig(max_iterations=2**30)
+    SolverConfig(max_iterations=2**30 - 1)
     with pytest.raises(ValueError):
         SolverConfig(residual_tolerance=0.0)
     for name in ("residual_tolerance", "step_tolerance", "damping_init"):
