@@ -124,7 +124,7 @@ def train(data, cfg, debug=False):
         dw, db = _gradient(w, b, data.xs, data.ys)
         w = w - cfg.eta * dw
         b = b - cfg.eta * db
-        if not (np.isfinite(w) and np.isfinite(b)) or max(abs(w), abs(b)) > DIVERGENCE_LIMIT:
+        if not (abs(w) <= DIVERGENCE_LIMIT and abs(b) <= DIVERGENCE_LIMIT):  # NaN fails too
             raise TrainingDivergedError(j, w, b)
         ws[j], bs[j] = w, b
 

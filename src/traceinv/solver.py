@@ -23,13 +23,14 @@ permutation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares, leastsq, linear_sum_assignment
 
 from .model import Dataset, Params, TrainConfig, _tanh_terms, train
-from .system import InsufficientTraceError, ReconstructionProblem, jacobian, residuals
+from .system import InsufficientTraceError, ReconstructionProblem, jacobian, pack, residuals, unpack
 
 
 class DegenerateTraceError(ValueError):
@@ -47,11 +48,12 @@ class SolverConfig:
     ``max_iterations`` caps each start at ``2 * max_iterations`` residual
     evaluations.  ``damping_init`` is validated but unused: MINPACK sets
     its own initial step bound; the field remains so existing configs
-    and flags keep working.  Start points: ``initial_guess`` if given,
-    else (x_0=0.5, all else 0); the remaining ``multistart_count - 1``
-    starts draw x uniformly from [0, 1] and y uniformly from [-0.9, 0.9]
-    using ``seed``.  ``box_bounds = (lo, hi)``, with lo < hi, keeps every
-    iterate inside the box; starts are clipped into it.
+    and flags keep working.  Start points: ``initial_guess`` (finite) if
+    given, else (x_0=0.5, all else 0); the remaining ``multistart_count -
+    1`` starts draw x uniformly from [0, 1] and y uniformly from [-0.9,
+    0.9] using ``seed`` (an integer >= 0).  ``box_bounds = (lo, hi)``,
+    with lo < hi, keeps every iterate inside the box; starts are clipped
+    into it.
     """
 
     max_iterations: int = 200
@@ -72,6 +74,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be > 0")
         if self.multistart_count < 1:
             raise ValueError("multistart_count must be >= 1")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.initial_guess is not None and not np.isfinite(self.initial_guess).all():
+            raise ValueError("initial_guess must be finite")
         if self.box_bounds is not None:
             lo, hi = self.box_bounds
             if not np.all(np.asarray(lo) < np.asarray(hi)):
@@ -129,7 +135,7 @@ def _levenberg_marquardt(fun, jac, z0, cfg):
     lo, hi = cfg.box_bounds if cfg.box_bounds is not None else (-np.inf, np.inf)
     z0 = np.clip(z0, lo, hi)
     r = fun(z0)
-    if np.max(np.abs(r)) <= cfg.residual_tolerance:
+    if _residual_norm(r, cfg.residual_tolerance)[1]:
         return z0, r, 0
     if cfg.box_bounds is not None or r.size < z0.size:
         sol = least_squares(
@@ -151,18 +157,30 @@ def _start_points(problem, cfg):
     """Deterministic sequence of start vectors for the multi-start loop."""
     n = problem.n
     rng = np.random.default_rng(cfg.seed)
-    for k in range(cfg.multistart_count):
-        if k == 0:
-            if cfg.initial_guess is not None:
-                yield np.asarray(cfg.initial_guess, dtype=float).copy()
-            else:
-                z0 = np.zeros(2 * n)
-                z0[0] = 0.5
-                yield z0
-        else:
-            yield np.concatenate(
-                [rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n)]
-            )
+    if cfg.initial_guess is not None:
+        yield np.asarray(cfg.initial_guess, dtype=float)
+    else:
+        yield pack([0.5] + [0.0] * (n - 1), np.zeros(n))
+    for _ in range(cfg.multistart_count - 1):
+        yield pack(rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n))
+
+
+def _residual_norm(r, tolerance):
+    """Max-norm of the residual vector ``r``, and whether it is within
+    ``tolerance``: the convergence rule of every route here."""
+    rnorm = float(np.max(np.abs(r)))
+    return rnorm, rnorm <= tolerance
+
+
+def _result(problem, z, residual_norm, converged, iterations, starts_tried):
+    """The reconstruction result at the unknown vector ``z``."""
+    return ReconstructionResult(
+        recovered=Dataset(*unpack(z, problem.n)),
+        residual_norm=residual_norm,
+        iterations=iterations,
+        converged=converged,
+        starts_tried=starts_tried,
+    )
 
 
 def solve(problem, cfg=SolverConfig()):
@@ -173,7 +191,8 @@ def solve(problem, cfg=SolverConfig()):
     ``cfg.allow_underdetermined`` is set.  Stops at the first start whose
     residual max-norm reaches ``cfg.residual_tolerance``; if none does,
     returns the best start found with ``converged=False`` rather than
-    raising.  Identical (problem, cfg) always yields identical results.
+    raising.  On hard instances the root found can differ between runs,
+    because MINPACK's arithmetic in ``leastsq`` depends on memory layout.
     """
     n = problem.n
     if not problem.is_determined and not cfg.allow_underdetermined:
@@ -184,26 +203,18 @@ def solve(problem, cfg=SolverConfig()):
     fun = lambda z: residuals(z, problem)
     jac = lambda z: jacobian(z, problem)
 
-    best = None  # (residual_norm, z, iterations)
+    best = None  # (z, residual_norm, converged, iterations)
     for starts_tried, z0 in enumerate(_start_points(problem, cfg), start=1):
         z, r, iterations = _levenberg_marquardt(fun, jac, z0, cfg)
-        rnorm = float(np.max(np.abs(r)))
-        converged = rnorm <= cfg.residual_tolerance
-        if best is None or converged or rnorm < best[0]:
-            best = (rnorm, z, iterations)
+        rnorm, converged = _residual_norm(r, cfg.residual_tolerance)
+        if best is None or converged or rnorm < best[1]:
+            best = (z, rnorm, converged, iterations)
         if converged:
             break
-    rnorm, z, iterations = best
-    return ReconstructionResult(
-        recovered=Dataset(z[:n].copy(), z[n:].copy()),
-        residual_norm=rnorm,
-        iterations=iterations,
-        converged=converged,
-        starts_tried=starts_tried,
-    )
+    return _result(problem, *best, starts_tried)
 
 
-def solve_n1(problem, residual_tolerance=1e-10):
+def solve_n1(problem, residual_tolerance=SolverConfig.residual_tolerance):
     """Closed-form recovery for a single-instance dataset.
 
     From the first transition, with t_w = n/(2 eta) (w0 - w1) and
@@ -233,15 +244,8 @@ def solve_n1(problem, residual_tolerance=1e-10):
         raise DegenerateTraceError(
             f"tanh saturates at the recovered x={x:g} or a quotient overflows"
         )
-    z = np.array([x, y])
-    rnorm = float(np.max(np.abs(residuals(z, problem))))
-    return ReconstructionResult(
-        recovered=Dataset([x], [y]),
-        residual_norm=rnorm,
-        iterations=0,
-        converged=rnorm <= residual_tolerance,
-        starts_tried=1,
-    )
+    z = pack([x], [y])
+    return _result(problem, z, *_residual_norm(residuals(z, problem), residual_tolerance), 0, 1)
 
 
 def match_solutions(recovered, truth):

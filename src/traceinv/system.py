@@ -12,6 +12,7 @@ with ``T_j(x) = tanh(w_j x + b_j)`` and ``Z_j(x, y) = (T_j(x) - y) *
 ``residuals`` returns left minus right for every transition, interleaved
 as (r_w(0), r_b(0), ...), and ``jacobian`` its exact derivative matrix;
 both evaluate T and Z with the trainer's kernel, ``model._tanh_terms``.
+Only ``pack`` and ``unpack`` join and split z; all other code calls them.
 
 ``feasibility`` does the equation-vs-unknown counting for wider and
 deeper fully connected networks.  The count is a necessary heuristic
@@ -85,12 +86,12 @@ class ReconstructionProblem:
 
 
 def pack(xs, ys):
-    """Stack (xs, ys) into the unknown-vector layout."""
+    """Stack (xs, ys) into the unknown vector z = (xs, ys)."""
     return np.concatenate([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
 
 
 def unpack(z, n):
-    """Split an unknown vector back into (xs, ys)."""
+    """Split an unknown vector back into views (xs, ys) of it."""
     z = np.asarray(z, dtype=float)
     return z[:n], z[n:]
 
@@ -106,9 +107,7 @@ def _check_z(z, problem):
 
 def residuals(z, problem):
     """Residual vector of the trace equations at ``z``, length 2*(E-1)."""
-    z = _check_z(z, problem)
-    n = problem.n
-    x, y = z[:n], z[n:]
+    x, y = unpack(_check_z(z, problem), problem.n)
     tr = problem.trace
     _, _, Z = _tanh_terms(tr.ws[:-1, None], tr.bs[:-1, None], x, y)  # (E-1, n)
     out = np.empty(problem.num_residuals)
@@ -124,9 +123,8 @@ def jacobian(z, problem):
     dZ/dx = w_j (1 - T^2) [(1 - T^2) - 2 T (T - y)], plus the product
     rule for the x_i * Z_j terms in the weight rows.
     """
-    z = _check_z(z, problem)
     n = problem.n
-    x, y = z[:n], z[n:]
+    x, y = unpack(_check_z(z, problem), n)
     tr = problem.trace
     w = tr.ws[:-1, None]
     T, S, Z = _tanh_terms(w, tr.bs[:-1, None], x, y)

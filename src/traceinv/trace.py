@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,18 @@ class TraceValidationError(ValueError):
         super().__init__(f"{message} [rule: {rule}]")
 
 
+def _fields_equal(self, other):
+    """``__eq__`` of the dataclasses below: every field equal, array
+    fields compared elementwise; NotImplemented for another type."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
+
+
 @dataclass
 class Dataset:
     """Paired input/label vectors; the secret the attack tries to recover."""
@@ -90,10 +102,7 @@ class Dataset:
     def n(self):
         return len(self.xs)
 
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return np.array_equal(self.xs, other.xs) and np.array_equal(self.ys, other.ys)
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -107,12 +116,7 @@ class TraceDebug:
         self.yhat = np.atleast_2d(np.asarray(self.yhat, dtype=float))
         self.loss = np.asarray(self.loss, dtype=float)
 
-    def __eq__(self, other):
-        if not isinstance(other, TraceDebug):
-            return NotImplemented
-        return np.array_equal(self.yhat, other.yhat) and np.array_equal(
-            self.loss, other.loss
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -184,16 +188,7 @@ class ParamTrace:
             debug = TraceDebug(self.debug.yhat[:epochs].copy(), self.debug.loss[:epochs].copy())
         return ParamTrace(self.eta, self.n, self.ws[:epochs].copy(), self.bs[:epochs].copy(), debug)
 
-    def __eq__(self, other):
-        if not isinstance(other, ParamTrace):
-            return NotImplemented
-        return (
-            self.eta == other.eta
-            and self.n == other.n
-            and np.array_equal(self.ws, other.ws)
-            and np.array_equal(self.bs, other.bs)
-            and self.debug == other.debug
-        )
+    __eq__ = _fields_equal
 
 
 def format_float(value, digits=None):
@@ -365,7 +360,7 @@ def load_trace(source):
     indices = [_number(int, t[1], ln) for ln, t in epoch_rows]
     ws = np.array([_number(float, t[2], ln) for ln, t in epoch_rows])
     bs = np.array([_number(float, t[3], ln) for ln, t in epoch_rows])
-    if indices != list(range(epochs)):
+    if len(indices) != epochs or indices != list(range(epochs)):
         raise TraceValidationError(
             f"epoch records must be 0..{epochs - 1} in order, got {indices}",
             rule="epoch-contiguous",

@@ -199,6 +199,7 @@ def test_reconstruct_input_errors(tmp_path, capsys):
     run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath))
     assert run("reconstruct", str(tpath), "--multistart-count", "0") == 2
     assert run("reconstruct", str(tpath), "--max-iterations", "1073741824") == 2
+    assert run("reconstruct", str(tpath), "--seed", "-1") == 2
     assert run("reconstruct", str(tpath), "--box-bounds", "1", "-1") == 2
     assert run("reconstruct", str(tpath), "--box-bounds", "0.5", "0.5") == 2
     for flag in ("--residual-tolerance", "--step-tolerance", "--damping-init"):
@@ -211,6 +212,11 @@ def test_reconstruct_input_errors(tmp_path, capsys):
     )
     assert run("reconstruct", str(huge)) == 2
     assert run("reconstruct", str(huge), "--box-bounds", "-1", "1") == 2
+    # declares 2**62 epochs but holds one record
+    long = tmp_path / "long.trace"
+    long.write_text("traceinv-trace 1\neta 0.1\nn 1\nepochs 4611686018427387904\n"
+                    "epoch 0 0.5 0.5\n")
+    assert run("reconstruct", str(long)) == 2
     capsys.readouterr()
 
 

@@ -213,6 +213,12 @@ def test_solver_config_validation():
             SolverConfig(**{name: float("nan")})
     with pytest.raises(ValueError):
         SolverConfig(multistart_count=0)
+    for seed in (-1, 0.5, None):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=seed)
+    for guess in ([np.inf, 0.5, 0.1, 0.1], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="initial_guess"):
+            SolverConfig(initial_guess=guess, multistart_count=1)
     for bounds in ((1.0, -1.0), (0.5, 0.5)):
         with pytest.raises(ValueError, match="lo < hi"):
             SolverConfig(box_bounds=bounds)

@@ -117,6 +117,36 @@ epoch 1 0.48899532750603825 0.48165887917673045
     assert tr.ws[1] == 0.48899532750603825
 
 
+def test_equality_compares_every_field():
+    ws, bs = [0.5, 0.4], [0.5, 0.3]
+    debug = TraceDebug(yhat=[[0.1], [0.2]], loss=[0.3, 0.4])
+    tr = ParamTrace(eta=0.1, n=1, ws=ws, bs=bs, debug=debug)
+    assert tr == ParamTrace(eta=0.1, n=1, ws=list(ws), bs=list(bs),
+                            debug=TraceDebug(yhat=[[0.1], [0.2]], loss=[0.3, 0.4]))
+    assert ParamTrace(0.1, 1, ws, bs) == ParamTrace(0.1, 1, ws, bs)
+    for other in (
+        ParamTrace(eta=0.1, n=1, ws=ws, bs=bs),  # debug absent
+        ParamTrace(eta=0.1, n=1, ws=ws, bs=bs,
+                   debug=TraceDebug(yhat=[[0.1], [0.2]], loss=[0.3, 0.5])),
+        ParamTrace(eta=0.2, n=1, ws=ws, bs=bs, debug=debug),
+        ParamTrace(eta=0.1, n=2, ws=ws, bs=bs),
+        ParamTrace(eta=0.1, n=1, ws=[0.5, 0.41], bs=bs, debug=debug),
+        ParamTrace(eta=0.1, n=1, ws=ws, bs=[0.5, 0.31], debug=debug),
+    ):
+        assert tr != other and other != tr
+    assert debug == TraceDebug(yhat=[[0.1], [0.2]], loss=[0.3, 0.4])
+    assert debug != TraceDebug(yhat=[[0.1], [0.25]], loss=[0.3, 0.4])
+    data = Dataset([0.6, 0.2], [0.5, 0.4])
+    assert data == Dataset([0.6, 0.2], [0.5, 0.4])
+    assert data != Dataset([0.6, 0.2], [0.5, 0.45])
+    assert data != Dataset([0.6], [0.5])
+    for obj in (data, debug, tr):
+        for other in (None, 0.1, "x"):
+            assert obj.__eq__(other) is NotImplemented
+            assert obj != other
+    assert data != debug and debug != tr and tr != data
+
+
 def test_debug_block_round_trips_and_is_optional(rng):
     data = random_dataset(rng, 3)
     tr = train(data, TrainConfig(eta=0.1, epochs=4), debug=True)
@@ -216,6 +246,11 @@ def test_validation_rules():
     # count mismatch between declared epochs and records
     expect_validation_error(
         HEADER + "eta 0.1\nn 1\nepochs 2\nepoch 0 0.5 0.5\n", "epoch-contiguous"
+    )
+    # a huge declared count is rejected without building a list of that size
+    expect_validation_error(
+        HEADER + "eta 0.1\nn 1\nepochs 4611686018427387904\nepoch 0 0.5 0.5\n",
+        "epoch-contiguous",
     )
     # gap in the epoch indices
     expect_validation_error(
