@@ -8,8 +8,10 @@ observer still recovers the data to a few 1e-4, but the recovered point
 solves the *rounded* equations, so the replay deviates around 1e-7 and
 the strict check reports FAIL; with all five rounded epochs the
 overdetermined system is slightly inconsistent and no exact root exists
-at all.  Precision of the broadcast, not secrecy of the data, is what
-limits this attack.
+at all.  The solver then stops at the first start whose residual lies
+within the trace's rounding quantum (``within_precision``) instead of
+trying every start.  Precision of the broadcast, not secrecy of the
+data, is what limits this attack.
 """
 
 from traceinv import (
@@ -31,7 +33,9 @@ trace = train(secret, TrainConfig(eta=0.1, epochs=5))
 
 def attempt(label, observed):
     res = solve(ReconstructionProblem(observed), SolverConfig(seed=0))
-    line = f"{label}: converged={res.converged} residual={res.residual_norm:.1e}"
+    line = (f"{label}: converged={res.converged} "
+            f"within_precision={res.within_precision} "
+            f"starts_tried={res.starts_tried} residual={res.residual_norm:.1e}")
     rep = match_solutions(res.recovered, secret)
     line += f" worst-coordinate error vs secret={rep.max_abs_error:.1e}"
     print(line)
@@ -50,5 +54,6 @@ seven = loads_trace(dumps_trace(trace, digits=7))
 attempt("7 digits,  3 epochs", seven.truncated(3))
 
 # 7 significant digits, all 5 epochs: 8 equations, 4 unknowns, and the
-# rounding noise leaves no exact root -- honest non-convergence
+# rounding noise leaves no exact root -- honest non-convergence, found
+# by one start that lands within the rounding quantum
 attempt("7 digits,  5 epochs", seven)

@@ -8,9 +8,10 @@ counting for wider networks).
 
 Exit codes: 0 success; 1 runtime failure (training diverged,
 verification FAIL, output could not be written); 2 usage or input
-error; 3 reconstruction finished without converging (the report is
-still written).  ``main`` maps exceptions to these codes: a handler
-raises ``RuntimeError`` for 1 and ``OSError``/``ValueError`` for 2.
+error; 3 reconstruction finished without converging, including a stop
+within a rounded trace's precision (the report is still written).
+``main`` maps exceptions to these codes: a handler raises
+``RuntimeError`` for 1 and ``OSError``/``ValueError`` for 2.
 
 The trace, dataset, and report file formats live in ``trace``.
 """
@@ -18,6 +19,7 @@ The trace, dataset, and report file formats live in ``trace``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .model import Dataset, Params, TrainConfig, TrainingDivergedError, train
@@ -81,6 +83,8 @@ def cmd_reconstruct(args):
     _save(save_report, result, args.output)
     if args.output != "-":
         status = "converged" if result.converged else "did not converge"
+        if result.within_precision and not result.converged:
+            status += f" (within trace precision, quantum {problem.quantum:.3e})"
         print(
             f"{status}: residual max-norm {result.residual_norm:.3e} after "
             f"{result.iterations} iteration(s), {result.starts_tried} start(s); "
@@ -120,6 +124,7 @@ def cmd_feasibility(args):
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="traceinv",

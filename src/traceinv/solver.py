@@ -86,13 +86,19 @@ class SolverConfig:
 
 @dataclass
 class ReconstructionResult:
-    """Recovered dataset plus convergence diagnostics."""
+    """Recovered dataset plus convergence diagnostics.
+
+    ``converged`` means the residual max-norm is within the configured
+    tolerance; ``within_precision`` means converged or within the trace's
+    quantum, the most that rounding alone explains.
+    """
 
     recovered: Dataset
     residual_norm: float
     iterations: int
     converged: bool
     starts_tried: int
+    within_precision: bool
 
 
 @dataclass
@@ -165,14 +171,17 @@ def _start_points(problem, cfg):
         yield pack(rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n))
 
 
-def _residual_norm(r, tolerance):
-    """Max-norm of the residual vector ``r``, and whether it is within
-    ``tolerance``: the convergence rule of every route here."""
+def _residual_norm(r, tolerance, quantum=0.0):
+    """Max-norm of the residual vector ``r``, whether it is within
+    ``tolerance`` (converged), and whether it is within ``tolerance`` or
+    the trace's ``quantum`` (within precision): the rules of every route
+    here."""
     rnorm = float(np.max(np.abs(r)))
-    return rnorm, rnorm <= tolerance
+    return rnorm, rnorm <= tolerance, rnorm <= max(tolerance, quantum)
 
 
-def _result(problem, z, residual_norm, converged, iterations, starts_tried):
+def _result(problem, z, residual_norm, converged, within_precision, iterations,
+            starts_tried):
     """The reconstruction result at the unknown vector ``z``."""
     return ReconstructionResult(
         recovered=Dataset(*unpack(z, problem.n)),
@@ -180,6 +189,7 @@ def _result(problem, z, residual_norm, converged, iterations, starts_tried):
         iterations=iterations,
         converged=converged,
         starts_tried=starts_tried,
+        within_precision=within_precision,
     )
 
 
@@ -189,10 +199,15 @@ def solve(problem, cfg=SolverConfig()):
 
     Requires at least n+1 trace epochs (2n equations) unless
     ``cfg.allow_underdetermined`` is set.  Stops at the first start whose
-    residual max-norm reaches ``cfg.residual_tolerance``; if none does,
-    returns the best start found with ``converged=False`` rather than
-    raising.  On hard instances the root found can differ between runs,
-    because MINPACK's arithmetic in ``leastsq`` depends on memory layout.
+    residual max-norm reaches ``cfg.residual_tolerance`` or the problem's
+    ``quantum``: on a rounded trace, which has no exact root, the first
+    start within the rounding is as good an answer as the trace supports,
+    and it is returned with ``within_precision=True`` but
+    ``converged=False``.  If no start stops the loop, returns the best
+    start found with ``converged=False`` rather than raising.  An exact
+    trace has quantum 0, so only convergence stops it.  On hard instances
+    the root found can differ between runs, because MINPACK's arithmetic
+    in ``leastsq`` depends on memory layout.
     """
     n = problem.n
     if not problem.is_determined and not cfg.allow_underdetermined:
@@ -203,13 +218,13 @@ def solve(problem, cfg=SolverConfig()):
     fun = lambda z: residuals(z, problem)
     jac = lambda z: jacobian(z, problem)
 
-    best = None  # (z, residual_norm, converged, iterations)
+    best = None  # (z, residual_norm, converged, within_precision, iterations)
     for starts_tried, z0 in enumerate(_start_points(problem, cfg), start=1):
         z, r, iterations = _levenberg_marquardt(fun, jac, z0, cfg)
-        rnorm, converged = _residual_norm(r, cfg.residual_tolerance)
-        if best is None or converged or rnorm < best[1]:
-            best = (z, rnorm, converged, iterations)
-        if converged:
+        rnorm, converged, within = _residual_norm(r, cfg.residual_tolerance, problem.quantum)
+        if best is None or within or rnorm < best[1]:
+            best = (z, rnorm, converged, within, iterations)
+        if within:
             break
     return _result(problem, *best, starts_tried)
 
@@ -245,7 +260,8 @@ def solve_n1(problem, residual_tolerance=SolverConfig.residual_tolerance):
             f"tanh saturates at the recovered x={x:g} or a quotient overflows"
         )
     z = pack([x], [y])
-    return _result(problem, z, *_residual_norm(residuals(z, problem), residual_tolerance), 0, 1)
+    rule = _residual_norm(residuals(z, problem), residual_tolerance, problem.quantum)
+    return _result(problem, z, *rule, 0, 1)
 
 
 def match_solutions(recovered, truth):

@@ -14,6 +14,12 @@ as (r_w(0), r_b(0), ...), and ``jacobian`` its exact derivative matrix;
 both evaluate T and Z with the trainer's kernel, ``model._tanh_terms``.
 Only ``pack`` and ``unpack`` join and split z; all other code calls them.
 
+A trace observed with d significant digits moves each w_j and b_j by at
+most half a unit in its d-th digit, so each right-hand side moves by at
+most its quantum n/(2 eta) * 10^(1-d) * max(|w|, |b|), and the secret
+itself leaves residuals up to that size: a rounded trace has no exact
+root, and no residual below its quantum is meaningful.
+
 ``feasibility`` does the equation-vs-unknown counting for wider and
 deeper fully connected networks.  The count is a necessary heuristic
 only: a nonlinear system with as many equations as unknowns need not
@@ -42,13 +48,17 @@ class ReconstructionProblem:
     The solver reads only the public part of the trace (eta, n, ws, bs);
     any debug block is deliberately ignored.  ``rhs`` holds the
     right-hand sides n/(2 eta) * (w_j - w_{j+1}) and n/(2 eta) * (b_j -
-    b_{j+1}), interleaved like the residuals.  Raises
-    InsufficientTraceError below 2 epochs, and ValueError when a
-    right-hand side overflows to a non-finite value.
+    b_{j+1}), interleaved like the residuals.  ``quantum`` bounds how far
+    the trace's rounding moves any right-hand side, n/(2 eta) *
+    10^(1-d) * max(|ws|, |bs|) for a trace of precision d; it is 0.0 for
+    an exact trace (precision None).  Raises InsufficientTraceError below
+    2 epochs, and ValueError when a right-hand side overflows to a
+    non-finite value.
     """
 
     trace: ParamTrace
     rhs: np.ndarray = field(init=False, repr=False, compare=False)
+    quantum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tr = self.trace
@@ -66,6 +76,10 @@ class ReconstructionProblem:
                 "trace equations overflow: n/(2 eta) times a parameter step "
                 "is not finite"
             )
+        self.quantum = 0.0
+        if tr.precision is not None:  # Python floats: no overflow warning
+            scale = max(float(np.max(np.abs(tr.ws))), float(np.max(np.abs(tr.bs))))
+            self.quantum = c * 10.0 ** (1 - tr.precision) * scale
 
     @property
     def n(self):

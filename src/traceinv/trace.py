@@ -25,6 +25,13 @@ cycle is bit-exact; ``digits`` trades that exactness for a fixed number of
 significant digits (``debug <j> <loss> <yhat...>`` lines follow the same
 rendering).
 
+``load_trace`` records the trace's precision: the most significant
+digits that any ``epoch`` w or b token carries (leading zeros and the
+exponent do not count).  A token of 16 or more digits marks the trace as
+lossless, recorded as None, and ends the scan.  A trace built in memory
+records none unless given one.  The precision is not part of the file
+format and is left out of trace equality.
+
 Dataset and report files share the trace file's line-oriented layout:
 a ``magic version`` header, ``key value`` fields, and one
 ``instance i x y`` record per row.  A reconstruction report carries the
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,11 +73,13 @@ class TraceValidationError(ValueError):
 
 
 def _fields_equal(self, other):
-    """``__eq__`` of the dataclasses below: every field equal, array
-    fields compared elementwise; NotImplemented for another type."""
+    """``__eq__`` of the dataclasses below: every compared field equal,
+    array fields compared elementwise; NotImplemented for another type."""
     if not isinstance(other, type(self)):
         return NotImplemented
     for f in fields(self):
+        if not f.compare:
+            continue
         a, b = getattr(self, f.name), getattr(other, f.name)
         if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
             return False
@@ -125,6 +134,9 @@ class ParamTrace:
 
     Epoch ``j`` of ``ws``/``bs`` holds the parameter values used in that
     epoch's forward pass, i.e. the values before the j-th update.
+    ``precision`` is the number of significant digits (>= 1) the values
+    were observed with, or None when they are exact; it does not take
+    part in equality.
     """
 
     eta: float
@@ -132,6 +144,7 @@ class ParamTrace:
     ws: np.ndarray
     bs: np.ndarray
     debug: TraceDebug | None = None
+    precision: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.eta = float(self.eta)
@@ -158,6 +171,13 @@ class ParamTrace:
             raise TraceValidationError(
                 "parameter values must be finite", rule="finite-values"
             )
+        if self.precision is not None:
+            self.precision = int(self.precision)
+            if self.precision < 1:
+                raise TraceValidationError(
+                    f"precision must be None or >= 1, got {self.precision}",
+                    rule="precision-positive",
+                )
         if self.debug is not None:
             if self.debug.yhat.shape != (self.epochs, self.n) or self.debug.loss.shape != (
                 self.epochs,
@@ -186,7 +206,10 @@ class ParamTrace:
         debug = None
         if self.debug is not None:
             debug = TraceDebug(self.debug.yhat[:epochs].copy(), self.debug.loss[:epochs].copy())
-        return ParamTrace(self.eta, self.n, self.ws[:epochs].copy(), self.bs[:epochs].copy(), debug)
+        return ParamTrace(
+            self.eta, self.n, self.ws[:epochs].copy(), self.bs[:epochs].copy(), debug,
+            self.precision,
+        )
 
     __eq__ = _fields_equal
 
@@ -343,8 +366,24 @@ def _parse(records, fields, rows, ignore=()):
     return values, found
 
 
+def _precision(rows):
+    """The most significant digits carried by any w or b token of the
+    epoch ``rows``, counting the mantissa's digits without sign, point or
+    leading zeros; None (lossless) once one token carries 16 or more, or
+    when every value is an exact zero."""
+    digits = 0
+    for _, tokens in rows:
+        for token in tokens[2:4]:
+            mantissa = token.lower().partition("e")[0]
+            digits = max(digits, len(mantissa.lstrip("+-0.").replace(".", "")))
+            if digits >= 16:  # every digit of a float64; stop scanning
+                return None
+    return digits or None
+
+
 def load_trace(source):
-    """Read a trace from a path or file object, validating all invariants."""
+    """Read a trace from a path or file object, validating all invariants;
+    the returned trace records the precision of its epoch values."""
     _, records = iter_records(source, MAGIC)
     fields, rows = _parse(
         records,
@@ -382,7 +421,9 @@ def load_trace(source):
             loss=np.array([_number(float, t[2], ln) for _, ln, t in debug_rows]),
         )
 
-    return ParamTrace(eta=fields["eta"], n=n, ws=ws, bs=bs, debug=debug)
+    return ParamTrace(
+        eta=fields["eta"], n=n, ws=ws, bs=bs, debug=debug, precision=_precision(epoch_rows)
+    )
 
 
 # the optional one-value fields a report adds to the dataset layout

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from traceinv import Dataset, TrainConfig, load_trace, train
-from traceinv.cli import load_dataset, main
+from traceinv import Dataset, SolverConfig, TrainConfig, load_trace, train
+from traceinv.cli import build_parser, load_dataset, main
 from traceinv.trace import TraceParseError, TraceValidationError, save_dataset
 
 from conftest import reference_loop
@@ -237,7 +237,11 @@ def test_reconstruct_nonconvergence_exit_code(tmp_path, capsys):
     code = run("reconstruct", str(tpath), "--multistart-count", "2",
                "-o", str(rpath))
     assert code == 3
-    assert "did not converge" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "did not converge" in out
+    # the loaded 7-digit trace stops at the first start within its rounding
+    assert "did not converge (within trace precision, quantum " in out
+    assert "1 start(s)" in out
     assert "converged false" in rpath.read_text()  # report still written
 
 
@@ -355,6 +359,31 @@ def test_subcommand_help_exits_zero(subcommand, capsys):
         run(subcommand, "--help")
     assert excinfo.value.code == 0
     assert f"usage: traceinv {subcommand}" in capsys.readouterr().out
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    parser = build_parser()
+    assert build_parser() is parser  # built once per process
+    help_before = parser.format_help()
+    # append lists start empty again on the next call
+    two, one = tmp_path / "two.trace", tmp_path / "one.trace"
+    assert run("train", "--x", "0.6", "--y", "0.5", "--x", "0.2", "--y", "0.4",
+               "-o", str(two)) == 0
+    assert run("train", "--x", "0.3", "--y", "0.1", "-o", str(one)) == 0
+    assert load_trace(one).n == 1
+    args = parser.parse_args(["train"])
+    assert args.x == [] and args.y == []
+    # reconstruct flags leave the defaults of the next call alone
+    assert run("reconstruct", str(two), "--seed", "5", "--multistart-count", "3",
+               "--box-bounds", "-1", "1", "--allow-underdetermined",
+               "--residual-tolerance", "1e-6", "-o", str(tmp_path / "r.report")) == 0
+    args = parser.parse_args(["reconstruct", str(two)])
+    assert (args.seed, args.multistart_count, args.box_bounds) == (
+        SolverConfig.seed, SolverConfig.multistart_count, None)
+    assert args.residual_tolerance == SolverConfig.residual_tolerance
+    assert not args.allow_underdetermined and args.output == "-"
+    assert parser.format_help() == help_before
+    capsys.readouterr()
 
 
 def test_module_entry_point_runs():

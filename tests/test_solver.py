@@ -14,6 +14,8 @@ from traceinv import (
     ReconstructionProblem,
     SolverConfig,
     TrainConfig,
+    dumps_trace,
+    loads_trace,
     match_solutions,
     pack,
     residuals,
@@ -29,8 +31,6 @@ from conftest import make_trace, random_dataset
 def problem_for(data, epochs, eta=0.1, digits=None):
     tr = train(data, TrainConfig(eta=eta, epochs=epochs))
     if digits is not None:
-        from traceinv import dumps_trace, loads_trace
-
         tr = loads_trace(dumps_trace(tr, digits=digits))
     return ReconstructionProblem(tr)
 
@@ -180,13 +180,41 @@ def test_solve_requires_enough_epochs(rng):
 
 
 def test_solve_nonconvergence_is_reported_not_raised():
-    # 7-digit rounding makes the 5-epoch system inconsistent
+    # 7-digit rounding makes the 5-epoch system inconsistent; built in
+    # memory, the rounded trace records no precision (quantum 0), so no
+    # start stops the loop early
     data = Dataset([0.6, 0.2], [0.5, 0.4])
-    p = problem_for(data, epochs=5, digits=7)
+    rounded = problem_for(data, epochs=5, digits=7).trace
+    p = ReconstructionProblem(ParamTrace(rounded.eta, rounded.n, rounded.ws, rounded.bs))
     res = solve(p, SolverConfig(multistart_count=2))
     assert not res.converged
     assert res.starts_tried == 2
     assert res.residual_norm > 1e-10
+
+
+@pytest.mark.parametrize("n, epochs", [(1, 4), (2, 5)])
+def test_solve_stops_within_trace_precision(n, epochs, rng):
+    # a 7-digit trace has no exact root; the first start that lands within
+    # the rounding quantum ends the search
+    for case in range(20):
+        data = random_dataset(rng, n)
+        p = problem_for(data, epochs=epochs, digits=7)
+        assert p.trace.precision == 7 and p.quantum > 0
+        res = solve(p, SolverConfig(seed=case))
+        assert res.starts_tried == 1
+        assert res.within_precision and not res.converged
+        assert res.residual_norm <= p.quantum
+        # the secret itself is only as exact as the trace
+        secret_norm = np.max(np.abs(residuals(pack(data.xs, data.ys), p)))
+        assert secret_norm <= p.quantum
+        if n == 1:
+            assert match_solutions(res.recovered, data).max_abs_error < 1e-4
+    exact = problem_for(data, epochs=epochs)
+    lossless = ReconstructionProblem(loads_trace(dumps_trace(exact.trace)))
+    for q in (exact, lossless):
+        assert q.quantum == 0.0
+        res = solve(q)
+        assert res.within_precision == res.converged
 
 
 def test_box_bounds_clip_the_iterates(rng):

@@ -100,6 +100,24 @@ def test_truncated_prefix_is_a_valid_trace():
         tr.truncated(6)
 
 
+def test_load_records_trace_precision():
+    tr = train(Dataset([0.6, 0.2], [0.5, 0.4]), TrainConfig(eta=0.1, epochs=5))
+    for digits in range(1, 16):
+        rounded = loads_trace(dumps_trace(tr, digits=digits))
+        assert rounded.precision == digits
+        # a prefix was observed with the same precision
+        assert rounded.truncated(3).precision == digits
+    for digits in (16, 17, None):  # every float64 digit: lossless
+        assert loads_trace(dumps_trace(tr, digits=digits)).precision is None
+    assert tr.precision is None  # built in memory
+    # leading zeros, sign and exponent do not count; trailing zeros do
+    text = HEADER + "eta 0.1\nn 1\nepochs 3\nepoch 0 0.5 -0.000120\n"
+    assert loads_trace(text + "epoch 1 1.25e-05 0.4\nepoch 2 0 0\n").precision == 3
+    assert loads_trace(text + "epoch 1 1.2345E+2 0.4\nepoch 2 0 0\n").precision == 5
+    zeros = HEADER + "eta 0.1\nn 1\nepochs 2\nepoch 0 0 0.0\nepoch 1 -0.0 0\n"
+    assert loads_trace(zeros).precision is None  # exact zeros carry no rounding
+
+
 def test_hand_written_file_with_comments_and_blanks():
     text = """
 # an eavesdropper's notebook
@@ -124,6 +142,8 @@ def test_equality_compares_every_field():
     assert tr == ParamTrace(eta=0.1, n=1, ws=list(ws), bs=list(bs),
                             debug=TraceDebug(yhat=[[0.1], [0.2]], loss=[0.3, 0.4]))
     assert ParamTrace(0.1, 1, ws, bs) == ParamTrace(0.1, 1, ws, bs)
+    # the observation precision is not part of the trace's value
+    assert tr == ParamTrace(0.1, 1, ws, bs, debug=debug, precision=7)
     for other in (
         ParamTrace(eta=0.1, n=1, ws=ws, bs=bs),  # debug absent
         ParamTrace(eta=0.1, n=1, ws=ws, bs=bs,
@@ -276,3 +296,6 @@ def test_paramtrace_invariants_checked_on_construction():
         make_trace(0.1, 0, [0.5], [0.5])
     with pytest.raises(TraceValidationError):
         make_trace(0.1, 1, [np.nan], [0.5])
+    for precision in (0, -3):
+        with pytest.raises(TraceValidationError, match="precision-positive"):
+            ParamTrace(eta=0.1, n=1, ws=[0.5], bs=[0.5], precision=precision)
