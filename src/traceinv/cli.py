@@ -8,10 +8,11 @@ counting for wider networks).
 
 Exit codes: 0 success; 1 runtime failure (training diverged,
 verification FAIL, output could not be written); 2 usage or input
-error; 3 reconstruction finished without converging, including a stop
-within a rounded trace's precision (the report is still written).
-``main`` maps exceptions to these codes: a handler raises
-``RuntimeError`` for 1 and ``OSError``/``ValueError`` for 2.
+error, including an input too large to allocate; 3 reconstruction
+finished without converging, including a stop within a rounded trace's
+precision (the report is still written).  ``main`` maps exceptions to
+these codes: a handler raises ``RuntimeError`` for 1 and
+``OSError``/``ValueError`` for 2, and a ``MemoryError`` also gives 2.
 
 The trace, dataset, and report file formats live in ``trace``.
 """
@@ -216,6 +217,8 @@ def main(argv=None):
         return _fail(exc, 1)
     except (OSError, ValueError) as exc:  # unreadable or invalid input
         return _fail(exc, 2)
+    except MemoryError as exc:  # an input size too large to allocate
+        return _fail(str(exc) or "input too large to allocate", 2)
 
 
 def entry():

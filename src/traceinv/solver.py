@@ -11,7 +11,11 @@ Three routes:
   squared residual landscape has many local minima.  With box bounds, or
   with fewer equations than unknowns, it runs scipy's dogleg method with
   rectangular trust regions (``least_squares(method="dogbox")``) instead,
-  since lmder supports neither.
+  since lmder supports neither.  Each step has one owner:
+  ``_start_points`` builds every start and clips it into the box,
+  ``solve`` chooses the routine once per call and judges each start
+  (skipping one that is already a root), and ``_levenberg_marquardt``
+  runs the chosen routine from one start.
 * ``verify_reconstruction`` -- the independent check: retrain on the
   recovered dataset and compare the resulting trace epoch by epoch.
 
@@ -128,47 +132,44 @@ class VerifyReport:
         return float(max(self.dw.max(), self.db.max()))
 
 
-def _levenberg_marquardt(fun, jac, z0, cfg):
-    """Damped least squares from a single start point.
-
-    MINPACK's lmder by default.  When the iterates must stay in
-    ``cfg.box_bounds``, or the system has fewer equations than unknowns,
-    neither of which lmder handles: scipy's dogleg method with
-    rectangular trust regions, from a start clipped into the box.
+def _levenberg_marquardt(problem, z0, cfg, bounds):
+    """One damped least-squares run on ``problem`` from ``z0``, one scipy
+    call: MINPACK's lmder when ``bounds`` is None, else scipy's dogleg
+    method with rectangular trust regions inside ``bounds = (lo, hi)``.
     Returns (z, r, iterations) where iterations counts Jacobian
-    evaluations, 0 when the start is already a root.
+    evaluations.
     """
-    lo, hi = cfg.box_bounds if cfg.box_bounds is not None else (-np.inf, np.inf)
-    z0 = np.clip(z0, lo, hi)
-    r = fun(z0)
-    if _residual_norm(r, cfg.residual_tolerance)[1]:
-        return z0, r, 0
-    if cfg.box_bounds is not None or r.size < z0.size:
-        sol = least_squares(
-            fun, z0, jac=jac, method="dogbox", bounds=(lo, hi), x_scale="jac",
-            ftol=1e-15, xtol=cfg.step_tolerance, gtol=None,
-            max_nfev=2 * cfg.max_iterations,
-        )
-        z, r, iterations = sol.x, sol.fun, sol.njev
-    else:
+    if bounds is None:
         z, _, info, _, _ = leastsq(
-            fun, z0, Dfun=jac, full_output=True, ftol=1e-15,
-            xtol=cfg.step_tolerance, gtol=0.0, maxfev=2 * cfg.max_iterations,
+            residuals, z0, args=(problem,), Dfun=jacobian, full_output=True,
+            ftol=1e-15, xtol=cfg.step_tolerance, gtol=0.0,
+            maxfev=2 * cfg.max_iterations,
         )
-        r, iterations = info["fvec"], info["njev"]
-    return z, r, iterations
+        return z, info["fvec"], info["njev"]
+    sol = least_squares(
+        residuals, z0, jac=jacobian, args=(problem,), method="dogbox",
+        bounds=bounds, x_scale="jac", ftol=1e-15, xtol=cfg.step_tolerance, gtol=None,
+        max_nfev=2 * cfg.max_iterations,
+    )
+    return sol.x, sol.fun, sol.njev
 
 
 def _start_points(problem, cfg):
-    """Deterministic sequence of start vectors for the multi-start loop."""
+    """The start vectors of the multi-start loop, in order:
+    ``initial_guess`` if given, else (x_0=0.5, all else 0), then
+    ``multistart_count - 1`` draws from the ``seed``-ed generator.  Each
+    is clipped into ``cfg.box_bounds`` when a box is given; no other code
+    builds or clips a start."""
     n = problem.n
     rng = np.random.default_rng(cfg.seed)
     if cfg.initial_guess is not None:
-        yield np.asarray(cfg.initial_guess, dtype=float)
+        z0 = np.array(cfg.initial_guess, dtype=float)
     else:
-        yield pack([0.5] + [0.0] * (n - 1), np.zeros(n))
-    for _ in range(cfg.multistart_count - 1):
-        yield pack(rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n))
+        z0 = pack([0.5] + [0.0] * (n - 1), np.zeros(n))
+    for k in range(cfg.multistart_count):
+        if k > 0:
+            z0 = pack(rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n))
+        yield z0 if cfg.box_bounds is None else np.clip(z0, *cfg.box_bounds)
 
 
 def _residual_norm(r, tolerance, quantum=0.0):
@@ -204,7 +205,11 @@ def solve(problem, cfg=SolverConfig()):
     start within the rounding is as good an answer as the trace supports,
     and it is returned with ``within_precision=True`` but
     ``converged=False``.  If no start stops the loop, returns the best
-    start found with ``converged=False`` rather than raising.  An exact
+    start found with ``converged=False`` rather than raising.  The routine
+    is chosen once per call: dogbox when ``cfg.box_bounds`` is given or
+    the problem is underdetermined, else lmder.  A start that is already
+    a root is returned as it is, with 0 iterations.  The starts come from
+    ``_start_points``, already clipped into the box.  An exact
     trace has quantum 0, so only convergence stops it.  On hard instances
     the root found can differ between runs, because MINPACK's arithmetic
     in ``leastsq`` depends on memory layout.
@@ -215,12 +220,17 @@ def solve(problem, cfg=SolverConfig()):
             f"need at least {n + 1} epochs for {2 * n} unknowns, trace has "
             f"{problem.trace.epochs}; set allow_underdetermined to solve anyway"
         )
-    fun = lambda z: residuals(z, problem)
-    jac = lambda z: jacobian(z, problem)
+    # lmder (bounds None) handles neither a box nor fewer equations than
+    # unknowns; dogbox handles both
+    bounds = cfg.box_bounds
+    if bounds is None and not problem.is_determined:
+        bounds = (-np.inf, np.inf)
 
     best = None  # (z, residual_norm, converged, within_precision, iterations)
     for starts_tried, z0 in enumerate(_start_points(problem, cfg), start=1):
-        z, r, iterations = _levenberg_marquardt(fun, jac, z0, cfg)
+        z, r, iterations = z0, residuals(z0, problem), 0
+        if not _residual_norm(r, cfg.residual_tolerance)[1]:  # not already a root
+            z, r, iterations = _levenberg_marquardt(problem, z0, cfg, bounds)
         rnorm, converged, within = _residual_norm(r, cfg.residual_tolerance, problem.quantum)
         if best is None or within or rnorm < best[1]:
             best = (z, rnorm, converged, within, iterations)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -200,15 +200,15 @@ class ParamTrace:
         return len(self.ws)
 
     def truncated(self, epochs):
-        """Return the prefix of this trace with the first ``epochs`` entries."""
+        """Return the prefix of this trace with the first ``epochs`` entries;
+        every other field carries over."""
         if not 1 <= epochs <= self.epochs:
             raise ValueError(f"epochs must be in 1..{self.epochs}, got {epochs}")
         debug = None
         if self.debug is not None:
             debug = TraceDebug(self.debug.yhat[:epochs].copy(), self.debug.loss[:epochs].copy())
-        return ParamTrace(
-            self.eta, self.n, self.ws[:epochs].copy(), self.bs[:epochs].copy(), debug,
-            self.precision,
+        return replace(
+            self, ws=self.ws[:epochs].copy(), bs=self.bs[:epochs].copy(), debug=debug
         )
 
     __eq__ = _fields_equal

@@ -217,6 +217,13 @@ def test_reconstruct_input_errors(tmp_path, capsys):
     long.write_text("traceinv-trace 1\neta 0.1\nn 1\nepochs 4611686018427387904\n"
                     "epoch 0 0.5 0.5\n")
     assert run("reconstruct", str(long)) == 2
+    # declares 2**62 instances: the start point cannot be allocated
+    big = tmp_path / "big.trace"
+    big.write_text("traceinv-trace 1\neta 0.1\nn 4611686018427387904\nepochs 2\n"
+                   "epoch 0 0.5 0.5\nepoch 1 0.4 0.4\n")
+    report = tmp_path / "big.report"
+    assert run("reconstruct", str(big), "--allow-underdetermined", "-o", str(report)) == 2
+    assert not report.exists()
     capsys.readouterr()
 
 

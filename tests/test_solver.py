@@ -225,6 +225,16 @@ def test_box_bounds_clip_the_iterates(rng):
     assert np.all(res.recovered.ys >= -1.0) and np.all(res.recovered.ys <= 1.0)
     if res.converged:
         assert match_solutions(res.recovered, data).max_abs_error < 1e-6
+    # a box that holds neither the default start (0.5, 0) nor the given
+    # guess: the start is clipped into it, and the secret is recovered
+    secret = Dataset([0.7], [0.8])
+    p = problem_for(secret, epochs=2)
+    for guess in (None, [0.3, 0.2]):
+        res = solve(p, SolverConfig(box_bounds=(0.6, 0.95), initial_guess=guess))
+        z = pack(res.recovered.xs, res.recovered.ys)
+        assert np.all((z >= 0.6) & (z <= 0.95))
+        assert res.converged and res.starts_tried == 1
+        assert match_solutions(res.recovered, secret).max_abs_error < 1e-6
 
 
 def test_solver_config_validation():
