@@ -37,6 +37,16 @@ a ``magic version`` header, ``key value`` fields, and one
 ``instance i x y`` record per row.  A reconstruction report carries the
 same instance records plus convergence fields, so ``load_dataset`` (and
 ``traceinv verify``) accepts ``reconstruct`` output directly.
+
+Records of one type may come in any order, but their indices (``j`` of
+``epoch`` and ``debug``, ``i`` of ``instance``) must cover 0..count-1
+exactly once, the count being the declared ``epochs`` or ``n``.  A wrong
+number of records or an index out of range or repeated raises
+``TraceValidationError`` with rule ``epoch-contiguous`` for ``epoch``
+records and ``debug-shape`` for ``debug`` records (which also raise it
+unless each holds ``n`` yhat values).  For ``instance`` records a wrong
+number raises ``instance-count`` and a bad index ``instance-contiguous``.
+The debug block is optional; when present it covers every epoch.
 """
 
 from __future__ import annotations
@@ -381,9 +391,42 @@ def _precision(rows):
     return digits or None
 
 
+def _indexed(rows, key, count, rule, count_rule=None):
+    """The ``(line_number, tokens)`` rows of record ``key``, in index order.
+
+    ``rows`` is the row map that ``_parse`` returns.  Each row's
+    ``tokens[1]`` is its index, and the indices must be 0..count-1, each
+    once, in any order.  A number of rows other than ``count`` raises
+    ``count_rule`` (default ``rule``); an index out of range or repeated
+    raises ``rule``.  The count is checked first, so a huge declared
+    count allocates nothing.
+    """
+    found = rows[key]
+    if len(found) != count:
+        raise TraceValidationError(
+            f"expected {count} '{key}' records, found {len(found)}", rule=count_rule or rule
+        )
+    indices = [_number(int, t[1], ln) for ln, t in found]
+    if indices == list(range(count)):
+        return found
+    ordered = [None] * count
+    for j, row in zip(indices, found):
+        if not 0 <= j < count or ordered[j] is not None:
+            raise TraceValidationError(
+                f"line {row[0]}: '{key}' indices must cover 0..{count - 1} exactly once",
+                rule=rule,
+            )
+        ordered[j] = row
+    return ordered
+
+
 def load_trace(source):
-    """Read a trace from a path or file object, validating all invariants;
-    the returned trace records the precision of its epoch values."""
+    """Read a trace from a path or file object, validating all invariants.
+
+    ``epoch`` and ``debug`` records may come in any order and are stored
+    by index.  The returned trace records the precision of its epoch
+    values.
+    """
     _, records = iter_records(source, MAGIC)
     fields, rows = _parse(
         records,
@@ -395,30 +438,20 @@ def load_trace(source):
         raise TraceValidationError(
             f"epochs must be >= 1, got {epochs}", rule="epochs-positive"
         )
-    epoch_rows = rows["epoch"]
-    indices = [_number(int, t[1], ln) for ln, t in epoch_rows]
+    epoch_rows = _indexed(rows, "epoch", epochs, "epoch-contiguous")
     ws = np.array([_number(float, t[2], ln) for ln, t in epoch_rows])
     bs = np.array([_number(float, t[3], ln) for ln, t in epoch_rows])
-    if len(indices) != epochs or indices != list(range(epochs)):
-        raise TraceValidationError(
-            f"epoch records must be 0..{epochs - 1} in order, got {indices}",
-            rule="epoch-contiguous",
-        )
 
     debug = None
     if rows["debug"]:
-        debug_rows = sorted((_number(int, t[1], ln), ln, t) for ln, t in rows["debug"])
-        if [j for j, _, _ in debug_rows] != list(range(epochs)) or any(
-            len(t) != n + 3 for _, _, t in debug_rows
-        ):
+        debug_rows = _indexed(rows, "debug", epochs, "debug-shape")
+        if any(len(t) != n + 3 for _, t in debug_rows):
             raise TraceValidationError(
-                f"debug records must give one loss and {n} yhat values for every "
-                f"epoch, once each",
-                rule="debug-shape",
+                f"debug records must give one loss and {n} yhat values", rule="debug-shape"
             )
         debug = TraceDebug(
-            yhat=np.array([[_number(float, v, ln) for v in t[3:]] for _, ln, t in debug_rows]),
-            loss=np.array([_number(float, t[2], ln) for _, ln, t in debug_rows]),
+            yhat=np.array([[_number(float, v, ln) for v in t[3:]] for ln, t in debug_rows]),
+            loss=np.array([_number(float, t[2], ln) for ln, t in debug_rows]),
         )
 
     return ParamTrace(
@@ -431,7 +464,8 @@ _REPORT_FIELDS = ("converged", "residual_norm", "iterations", "starts_tried")
 
 
 def load_dataset(source):
-    """Read a dataset from a dataset file or a reconstruction report."""
+    """Read a dataset from a dataset file or a reconstruction report;
+    ``instance`` records may come in any order and are stored by index."""
     magic, records = iter_records(source, DATASET_MAGIC, REPORT_MAGIC)
     fields, rows = _parse(
         records,
@@ -439,25 +473,13 @@ def load_dataset(source):
         {"instance": "instance <i> <x> <y>"},
         ignore=_REPORT_FIELDS if magic == REPORT_MAGIC else (),
     )
-    n = fields["n"]
-    instances = sorted(
-        (
-            (_number(int, t[1], ln), _number(float, t[2], ln), _number(float, t[3], ln))
-            for ln, t in rows["instance"]
-        ),
-        key=lambda row: row[0],
+    instance_rows = _indexed(
+        rows, "instance", fields["n"], "instance-contiguous", count_rule="instance-count"
     )
-    if len(instances) != n:
-        raise TraceValidationError(
-            f"expected {n} instance records, found {len(instances)}",
-            rule="instance-count",
-        )
-    if [row[0] for row in instances] != list(range(n)):
-        raise TraceValidationError(
-            f"instance indices must cover 0..{n - 1} exactly once",
-            rule="instance-contiguous",
-        )
-    return Dataset([row[1] for row in instances], [row[2] for row in instances])
+    return Dataset(
+        [_number(float, t[2], ln) for ln, t in instance_rows],
+        [_number(float, t[3], ln) for ln, t in instance_rows],
+    )
 
 
 def dumps_trace(trace, digits=None):

@@ -1,7 +1,9 @@
 """Command-line behavior: flags, file contracts, exit codes, pipelines."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,19 @@ def test_dataset_file_validation(tmp_path):
             "traceinv-dataset 1\nn 2\ninstance 0 0.6 0.5\ninstance 2 0.2 0.4\n"
         )
     assert excinfo.value.rule == "instance-contiguous"
+    with pytest.raises(TraceValidationError) as excinfo:
+        load_text(
+            "traceinv-dataset 1\nn 2\ninstance 1 0.6 0.5\ninstance 1 0.2 0.4\n"
+        )
+    assert excinfo.value.rule == "instance-contiguous"
+    # a huge declared count is rejected without building a list of that size
+    with pytest.raises(TraceValidationError) as excinfo:
+        load_text("traceinv-dataset 1\nn 4611686018427387904\ninstance 0 0.6 0.5\n")
+    assert excinfo.value.rule == "instance-count"
+    # instance records may come in any order
+    assert load_text(
+        "traceinv-dataset 1\nn 2\ninstance 1 0.2 0.4\ninstance 0 0.6 0.5\n"
+    ) == Dataset([0.6, 0.2], [0.5, 0.4])
     with pytest.raises(TraceParseError):
         load_text("traceinv-dataset 1\nn 1\nmystery 0 0.6 0.5\n")
     with pytest.raises(ValueError):
@@ -194,6 +209,8 @@ def test_reconstruct_input_errors(tmp_path, capsys):
     assert run("reconstruct", str(tmp_path / "missing.trace")) == 2
     bad = tmp_path / "bad.trace"
     bad.write_text("traceinv-trace 1\neta 0.1\nn 1\nepochs 1\nepoch 0 a b\n")
+    assert run("reconstruct", str(bad)) == 2
+    bad.write_text("traceinv-trace 1\neta 0.1\nn 1\nepochs 1\nepoch 0 0.5\n")
     assert run("reconstruct", str(bad)) == 2
     tpath = tmp_path / "ok.trace"
     run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath))
@@ -401,6 +418,21 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "demo dataset n=1" in proc.stdout
+
+
+def test_readme_quickstart_runs(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0.6 0.2]", "[0.5 0.4]"]
 
 
 # --- the full pipeline ------------------------------------------------------

@@ -174,6 +174,10 @@ def test_debug_block_round_trips_and_is_optional(rng):
     assert again.debug is not None
     np.testing.assert_array_equal(again.debug.yhat, tr.debug.yhat)
     np.testing.assert_array_equal(again.debug.loss, tr.debug.loss)
+    # debug records are stored by index, whatever their order in the file
+    lines = dumps_trace(tr).splitlines(keepends=True)
+    first = next(k for k, line in enumerate(lines) if line.startswith("debug "))
+    assert loads_trace("".join(lines[:first] + lines[first:][::-1])) == tr
 
 
 def expect_parse_error(text, fragment):
@@ -196,6 +200,15 @@ def test_parse_errors_name_the_line():
         loads_trace(HEADER + "eta 0.1\nn 1\nepochs 1\nepoch 0 oops 0.5\n")
     assert excinfo.value.line == 5
     assert "oops" in str(excinfo.value)
+    # a record with too few values names its line and its usage
+    for load, text, line in [
+        (load_trace, HEADER + "eta 0.1\nn 1\nepochs 1\nepoch 0 0.5\n", 5),
+        (load_trace, HEADER + "eta 0.1\nn 1\nepochs 1\nepoch 0 0.5 0.5\ndebug 0\n", 6),
+        (load_dataset, "traceinv-dataset 1\nn 1\ninstance 0 0.6\n", 3),
+    ]:
+        with pytest.raises(TraceParseError, match="record needs") as excinfo:
+            load(io.StringIO(text))
+        assert excinfo.value.line == line
 
 
 def test_bad_headers():
@@ -277,6 +290,23 @@ def test_validation_rules():
         HEADER + "eta 0.1\nn 1\nepochs 2\nepoch 0 0.5 0.5\nepoch 2 0.4 0.4\n",
         "epoch-contiguous",
     )
+    # repeated epoch index
+    expect_validation_error(
+        HEADER + "eta 0.1\nn 1\nepochs 2\nepoch 0 0.5 0.5\nepoch 0 0.4 0.4\n",
+        "epoch-contiguous",
+    )
+    # epoch records may come in any order
+    in_order = HEADER + "eta 0.1\nn 1\nepochs 3\nepoch 0 0.5 0.5\nepoch 1 0.4 0.3\nepoch 2 0.2 0.1\n"
+    shuffled = HEADER + "eta 0.1\nn 1\nepochs 3\nepoch 2 0.2 0.1\nepoch 0 0.5 0.5\nepoch 1 0.4 0.3\n"
+    assert loads_trace(shuffled) == loads_trace(in_order)
+    # a gap in a long trace gives a short message that does not list indices
+    long = HEADER + "eta 0.1\nn 1\nepochs 600\n" + "".join(
+        f"epoch {j if j != 300 else 600} 0.5 0.5\n" for j in range(600)
+    )
+    with pytest.raises(TraceValidationError) as excinfo:
+        loads_trace(long)
+    assert excinfo.value.rule == "epoch-contiguous"
+    assert len(str(excinfo.value)) < 200
     expect_validation_error(
         HEADER + "eta 0.1\nn 1\nepochs 1\nepoch 0 inf 0.5\n", "finite-values"
     )
@@ -285,6 +315,12 @@ def test_validation_rules():
         HEADER + "eta 0.1\nn 2\nepochs 1\nepoch 0 0.5 0.5\ndebug 0 0.1 0.6\n",
         "debug-shape",
     )
+    # debug records: wrong count, gap and repeated index
+    two_epochs = HEADER + "eta 0.1\nn 1\nepochs 2\nepoch 0 0.5 0.5\nepoch 1 0.4 0.4\n"
+    for debug in ("debug 0 0.1 0.6\n",
+                  "debug 0 0.1 0.6\ndebug 2 0.1 0.6\n",
+                  "debug 1 0.1 0.6\ndebug 1 0.1 0.6\n"):
+        expect_validation_error(two_epochs + debug, "debug-shape")
 
 
 def test_paramtrace_invariants_checked_on_construction():
