@@ -1,12 +1,15 @@
 """When does a trace even have enough equations to pin down the data?
 
 For a fully connected network with L layers of width l, trained on I
-instances, every observed epoch contributes l*(l+1)*(L-1) equations
-(l weights plus one bias per receiving node), against l*L*I unknown
-node values.  Comparing the counts gives a quick necessary condition
-and the minimum number of epochs an attacker must observe; roughly,
-epochs >= instances/width.  Counting says nothing about whether the
-nonlinear system is actually solvable, hence "heuristic".
+instances, every observed parameter update (one per epoch transition)
+contributes l*(l+1)*(L-1) equations (l weights plus one bias per
+receiving node), against l*L*I unknown node values.  Comparing the
+counts gives a quick necessary condition and the minimum number of
+updates an attacker must observe; roughly, updates >= instances/width.
+The "epochs" below count updates, so a trace must record one epoch
+more: for one neuron on 2 instances, min epochs 2 means a trace of 3
+recorded epochs.  Counting says nothing about whether the nonlinear
+system is actually solvable, hence "heuristic".
 
 Equivalent CLI: ``traceinv feasibility --width 1 --layers 2
 --instances 2 --epochs 5``.

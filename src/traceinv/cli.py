@@ -30,11 +30,6 @@ from .tables import demo_tables
 from .trace import load_dataset, load_trace, save_report, save_trace
 
 
-def _fail(message, code):
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _save(save, obj, path, **kwargs):
     """Write ``obj`` with ``save`` to ``path`` ("-" is stdout); a failed
     write is a runtime failure (exit 1), not an input error."""
@@ -46,15 +41,15 @@ def _save(save, obj, path, **kwargs):
 
 def cmd_train(args):
     if args.dataset is not None and (args.x or args.y):
-        return _fail("give either --dataset or inline --x/--y values, not both", 2)
+        raise ValueError("give either --dataset or inline --x/--y values, not both")
     if args.precision is not None and args.precision < 1:
-        return _fail(f"--precision must be >= 1, got {args.precision}", 2)
+        raise ValueError(f"--precision must be >= 1, got {args.precision}")
     if args.dataset is not None:
         data = load_dataset(args.dataset)
     elif not args.x or not args.y:
-        return _fail("no dataset: pass --dataset FILE or --x/--y pairs", 2)
+        raise ValueError("no dataset: pass --dataset FILE or --x/--y pairs")
     elif len(args.x) != len(args.y):
-        return _fail(f"got {len(args.x)} --x values but {len(args.y)} --y values", 2)
+        raise ValueError(f"got {len(args.x)} --x values but {len(args.y)} --y values")
     else:
         data = Dataset(args.x, args.y)
     cfg = TrainConfig(eta=args.eta, epochs=args.epochs, init=Params(args.w0, args.b0))
@@ -203,7 +198,9 @@ def build_parser():
     p.add_argument("--layers", type=int, required=True,
                    help="layer count including the output layer (at least 2)")
     p.add_argument("--instances", type=int, required=True, help="training instances")
-    p.add_argument("--epochs", type=int, required=True, help="recorded epochs")
+    p.add_argument("--epochs", type=int, required=True,
+                   help="observed parameter updates, one per epoch transition "
+                        "(recorded epochs minus 1)")
     p.set_defaults(func=cmd_feasibility)
 
     return parser
@@ -214,11 +211,13 @@ def main(argv=None):
     try:
         return args.func(args)
     except RuntimeError as exc:  # includes TrainingDivergedError
-        return _fail(exc, 1)
+        code, message = 1, exc
     except (OSError, ValueError) as exc:  # unreadable or invalid input
-        return _fail(exc, 2)
+        code, message = 2, exc
     except MemoryError as exc:  # an input size too large to allocate
-        return _fail(str(exc) or "input too large to allocate", 2)
+        code, message = 2, str(exc) or "input too large to allocate"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry():

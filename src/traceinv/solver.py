@@ -13,9 +13,10 @@ Three routes:
   rectangular trust regions (``least_squares(method="dogbox")``) instead,
   since lmder supports neither.  Each step has one owner:
   ``_start_points`` builds every start and clips it into the box,
-  ``solve`` chooses the routine once per call and judges each start
-  (skipping one that is already a root), and ``_levenberg_marquardt``
-  runs the chosen routine from one start.
+  ``solve`` chooses the routine once per call and keeps the best start
+  (skipping one that is already a root), ``_levenberg_marquardt`` runs
+  the chosen routine from one start, and ``_result`` judges every
+  answer, for ``solve_n1`` too.
 * ``verify_reconstruction`` -- the independent check: retrain on the
   recovered dataset and compare the resulting trace epoch by epoch.
 
@@ -28,7 +29,7 @@ permutation.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares, leastsq, linear_sum_assignment
@@ -172,25 +173,20 @@ def _start_points(problem, cfg):
         yield z0 if cfg.box_bounds is None else np.clip(z0, *cfg.box_bounds)
 
 
-def _residual_norm(r, tolerance, quantum=0.0):
-    """Max-norm of the residual vector ``r``, whether it is within
-    ``tolerance`` (converged), and whether it is within ``tolerance`` or
-    the trace's ``quantum`` (within precision): the rules of every route
-    here."""
+def _result(problem, z, r, iterations, tolerance):
+    """The verdict on the unknown vector ``z`` with residual vector ``r``,
+    the one rule of every route here: the residual max-norm, whether it
+    is within ``tolerance`` (converged), and whether it is within
+    ``tolerance`` or the trace's quantum (within precision).  Counts as
+    one start; ``solve`` sets its own count."""
     rnorm = float(np.max(np.abs(r)))
-    return rnorm, rnorm <= tolerance, rnorm <= max(tolerance, quantum)
-
-
-def _result(problem, z, residual_norm, converged, within_precision, iterations,
-            starts_tried):
-    """The reconstruction result at the unknown vector ``z``."""
     return ReconstructionResult(
         recovered=Dataset(*unpack(z, problem.n)),
-        residual_norm=residual_norm,
+        residual_norm=rnorm,
         iterations=iterations,
-        converged=converged,
-        starts_tried=starts_tried,
-        within_precision=within_precision,
+        converged=rnorm <= tolerance,
+        starts_tried=1,
+        within_precision=rnorm <= max(tolerance, problem.quantum),
     )
 
 
@@ -226,17 +222,18 @@ def solve(problem, cfg=SolverConfig()):
     if bounds is None and not problem.is_determined:
         bounds = (-np.inf, np.inf)
 
-    best = None  # (z, residual_norm, converged, within_precision, iterations)
+    tol = cfg.residual_tolerance
+    best = None
     for starts_tried, z0 in enumerate(_start_points(problem, cfg), start=1):
-        z, r, iterations = z0, residuals(z0, problem), 0
-        if not _residual_norm(r, cfg.residual_tolerance)[1]:  # not already a root
+        result = _result(problem, z0, residuals(z0, problem), 0, tol)
+        if not result.converged:  # not already a root
             z, r, iterations = _levenberg_marquardt(problem, z0, cfg, bounds)
-        rnorm, converged, within = _residual_norm(r, cfg.residual_tolerance, problem.quantum)
-        if best is None or within or rnorm < best[1]:
-            best = (z, rnorm, converged, within, iterations)
-        if within:
+            result = _result(problem, z, r, iterations, tol)
+        if best is None or result.within_precision or result.residual_norm < best.residual_norm:
+            best = result
+        if result.within_precision:
             break
-    return _result(problem, *best, starts_tried)
+    return replace(best, starts_tried=starts_tried)
 
 
 def solve_n1(problem, residual_tolerance=SolverConfig.residual_tolerance):
@@ -270,8 +267,7 @@ def solve_n1(problem, residual_tolerance=SolverConfig.residual_tolerance):
             f"tanh saturates at the recovered x={x:g} or a quotient overflows"
         )
     z = pack([x], [y])
-    rule = _residual_norm(residuals(z, problem), residual_tolerance, problem.quantum)
-    return _result(problem, z, *rule, 0, 1)
+    return _result(problem, z, residuals(z, problem), 0, residual_tolerance)
 
 
 def match_solutions(recovered, truth):

@@ -12,7 +12,8 @@ with ``T_j(x) = tanh(w_j x + b_j)`` and ``Z_j(x, y) = (T_j(x) - y) *
 ``residuals`` returns left minus right for every transition, interleaved
 as (r_w(0), r_b(0), ...), and ``jacobian`` its exact derivative matrix;
 both evaluate T and Z with the trainer's kernel, ``model._tanh_terms``.
-Only ``pack`` and ``unpack`` join and split z; all other code calls them.
+Only ``pack`` and ``unpack`` join and split z, and only ``unpack``
+checks its length; all other code calls them.
 
 A trace observed with d significant digits moves each w_j and b_j by at
 most half a unit in its d-th digit, so each right-hand side moves by at
@@ -105,23 +106,17 @@ def pack(xs, ys):
 
 
 def unpack(z, n):
-    """Split an unknown vector back into views (xs, ys) of it."""
+    """Split an unknown vector back into views (xs, ys) of it.  Raises
+    ValueError unless z has shape (2n,); no other code checks it."""
     z = np.asarray(z, dtype=float)
+    if z.shape != (2 * n,):
+        raise ValueError(f"unknown vector must have length {2 * n}, got shape {z.shape}")
     return z[:n], z[n:]
-
-
-def _check_z(z, problem):
-    z = np.asarray(z, dtype=float)
-    if z.shape != (problem.num_unknowns,):
-        raise ValueError(
-            f"unknown vector must have length {problem.num_unknowns}, got shape {z.shape}"
-        )
-    return z
 
 
 def residuals(z, problem):
     """Residual vector of the trace equations at ``z``, length 2*(E-1)."""
-    x, y = unpack(_check_z(z, problem), problem.n)
+    x, y = unpack(z, problem.n)
     tr = problem.trace
     _, _, Z = _tanh_terms(tr.ws[:-1, None], tr.bs[:-1, None], x, y)  # (E-1, n)
     out = np.empty(problem.num_residuals)
@@ -138,7 +133,7 @@ def jacobian(z, problem):
     rule for the x_i * Z_j terms in the weight rows.
     """
     n = problem.n
-    x, y = unpack(_check_z(z, problem), n)
+    x, y = unpack(z, n)
     tr = problem.trace
     w = tr.ws[:-1, None]
     T, S, Z = _tanh_terms(w, tr.bs[:-1, None], x, y)
@@ -154,7 +149,9 @@ def jacobian(z, problem):
 @dataclass(frozen=True)
 class NetworkShape:
     """Fully connected network with ``layers`` layers of ``width`` nodes,
-    trained on ``instances`` instances for ``epochs`` observed epochs."""
+    trained on ``instances`` instances with ``epochs`` observed parameter
+    updates, one per epoch transition: a trace that records E epochs
+    shows E - 1 updates."""
 
     width: int
     layers: int
@@ -191,9 +188,11 @@ def feasibility(shape):
     """Count unknowns vs. equations for a trace of the given network.
 
     A width-l, depth-L network on I instances has l*L*I unknown node
-    values; every observed epoch contributes l*(l+1)*(L-1) equations
-    (l weights plus one bias per receiving node).  ``min_epochs`` is the
-    smallest epoch count that makes the count feasible.
+    values; every observed parameter update (``shape.epochs`` counts
+    them) contributes l*(l+1)*(L-1) equations (l weights plus one bias
+    per receiving node).  ``min_epochs`` is the smallest update count
+    that makes the count feasible, so a trace must record
+    ``min_epochs + 1`` epochs.
     """
     l, L, I, E = shape.width, shape.layers, shape.instances, shape.epochs
     unknowns = l * L * I

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, file contracts, exit codes, pipelines."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -433,6 +434,27 @@ def test_readme_quickstart_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[0.6 0.2]", "[0.5 0.4]"]
+
+
+def test_readme_cli_block_runs(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```sh\ntraceinv ", 1)[1].split("```", 1)[0]
+    lines = ("traceinv " + block).splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "traceinv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "traceinv", *argv[1:]],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert proc.returncode == 0, (line, proc.stderr)
+        if argv[1] == "verify":
+            assert "PASS" in proc.stdout
 
 
 # --- the full pipeline ------------------------------------------------------

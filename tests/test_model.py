@@ -10,6 +10,7 @@ from traceinv import (
     Params,
     TrainConfig,
     TrainingDivergedError,
+    demo_dataset,
     forward,
     gradients,
     mse,
@@ -50,6 +51,10 @@ def test_mse_matches_scalar_mean(rng):
         ys = rng.uniform(-1, 1, n)
         want = sum((a - b) ** 2 for a, b in zip(yhat, ys)) / n
         assert abs(mse(yhat, ys) - want) < 1e-15
+    with pytest.raises(ValueError, match="length mismatch"):
+        mse([0.1, 0.2], [0.3])
+    with pytest.raises(ValueError, match="non-empty"):
+        mse([], [])
 
 
 def test_gradients_match_scalar_sums(rng):
@@ -201,6 +206,11 @@ def test_dataset_validation():
         Dataset([0.1, 0.2], [0.3])
     with pytest.raises(ValueError):
         Dataset([0.1], [float("nan")])
+    with pytest.raises(ValueError, match="1-d"):
+        Dataset([[0.1, 0.2]], [0.3, 0.4])
+    for n in (0, 5):  # the built-in demo data has 4 instances
+        with pytest.raises(ValueError, match="between 1 and 4"):
+            demo_dataset(n)
     data = Dataset([0.1, 0.2], [0.3, 0.4])
     assert data.n == 2
     assert data == Dataset([0.1, 0.2], [0.3, 0.4])

@@ -196,6 +196,19 @@ def test_feasibility_general_formula(rng):
             assert not below.feasible
 
 
+def test_feasibility_epochs_count_updates(rng):
+    # NetworkShape.epochs counts parameter updates: a trace of E recorded
+    # epochs shows E - 1 of them, and is determined exactly when feasible
+    for n in range(1, 5):
+        data = random_dataset(rng, n)
+        for epochs in range(2, 8):
+            trace = train(data, TrainConfig(eta=0.1, epochs=epochs))
+            rep = feasibility(NetworkShape(1, 2, n, epochs - 1))
+            problem = ReconstructionProblem(trace)
+            assert rep.feasible == problem.is_determined
+            assert rep.min_epochs + 1 == n + 1
+
+
 def test_feasibility_infeasible_example():
     rep = feasibility(NetworkShape(width=1, layers=2, instances=5, epochs=3))
     assert not rep.feasible

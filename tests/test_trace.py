@@ -98,6 +98,12 @@ def test_truncated_prefix_is_a_valid_trace():
         tr.truncated(0)
     with pytest.raises(ValueError):
         tr.truncated(6)
+    # the debug block is cut to the same prefix
+    tr = train(data, TrainConfig(eta=0.1, epochs=5), debug=True)
+    head = tr.truncated(3)
+    np.testing.assert_array_equal(head.debug.yhat, tr.debug.yhat[:3])
+    np.testing.assert_array_equal(head.debug.loss, tr.debug.loss[:3])
+    assert loads_trace(dumps_trace(head)) == head
 
 
 def test_load_records_trace_precision():
@@ -335,3 +341,12 @@ def test_paramtrace_invariants_checked_on_construction():
     for precision in (0, -3):
         with pytest.raises(TraceValidationError, match="precision-positive"):
             ParamTrace(eta=0.1, n=1, ws=[0.5], bs=[0.5], precision=precision)
+    with pytest.raises(TraceValidationError, match="epoch-count"):
+        make_trace(0.1, 1, [], [])
+    for yhat, loss in (([[0.1, 0.2]], [0.3]),  # n=1 trace, two yhat values
+                       ([[0.1]], [0.3, 0.4])):  # one epoch, two losses
+        with pytest.raises(TraceValidationError, match="debug-shape"):
+            ParamTrace(eta=0.1, n=1, ws=[0.5], bs=[0.5], debug=TraceDebug(yhat, loss))
+    for yhat, loss in (([[np.nan]], [0.3]), ([[0.1]], [np.inf])):
+        with pytest.raises(TraceValidationError, match="finite-values"):
+            ParamTrace(eta=0.1, n=1, ws=[0.5], bs=[0.5], debug=TraceDebug(yhat, loss))
