@@ -167,8 +167,8 @@ def build_parser():
     p.add_argument("--step-tolerance", type=float, default=SolverConfig.step_tolerance,
                    help="relative step tolerance, MINPACK xtol (default %(default)s)")
     p.add_argument("--damping-init", type=float, default=SolverConfig.damping_init,
-                   help="deprecated: validated but unused, MINPACK sets its "
-                        "own initial step bound")
+                   help="deprecated, to be removed in 0.2.0: validated but "
+                        "unused, MINPACK sets its own initial step bound")
     p.add_argument("--multistart-count", type=int,
                    default=SolverConfig.multistart_count,
                    help="start points to try before giving up (default %(default)s)")
@@ -222,7 +222,3 @@ def main(argv=None):
 
 def entry():
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -29,6 +29,7 @@ permutation.
 from __future__ import annotations
 
 import numbers
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from scipy.optimize import least_squares, leastsq, linear_sum_assignment
 
 from .model import Dataset, Params, TrainConfig, _tanh_terms, train
 from .system import InsufficientTraceError, ReconstructionProblem, jacobian, pack, residuals, unpack
+from .trace import _fields_equal
 
 
 class DegenerateTraceError(ValueError):
@@ -51,14 +53,16 @@ class SolverConfig:
     result counts as converged only below it.  ``step_tolerance`` is the
     solver's relative step tolerance (MINPACK ``xtol``), and
     ``max_iterations`` caps each start at ``2 * max_iterations`` residual
-    evaluations.  ``damping_init`` is validated but unused: MINPACK sets
-    its own initial step bound; the field remains so existing configs
-    and flags keep working.  Start points: ``initial_guess`` (finite) if
+    evaluations.  ``damping_init`` is deprecated and will be removed in
+    0.2.0: it is validated but unused, since MINPACK sets its own
+    initial step bound, and a value other than the default raises a
+    ``FutureWarning``.  Start points: ``initial_guess`` (finite) if
     given, else (x_0=0.5, all else 0); the remaining ``multistart_count -
     1`` starts draw x uniformly from [0, 1] and y uniformly from [-0.9,
-    0.9] using ``seed`` (an integer >= 0).  ``box_bounds = (lo, hi)``,
-    with lo < hi, keeps every iterate inside the box; starts are clipped
-    into it.
+    0.9] from a generator seeded with ``seed`` (an integer >= 0) on its
+    first draw.  ``box_bounds = (lo, hi)``, with lo < hi, keeps every
+    iterate inside the box; starts are clipped into it.  Configs compare
+    by value, ``initial_guess`` elementwise.
     """
 
     max_iterations: int = 200
@@ -87,6 +91,11 @@ class SolverConfig:
             lo, hi = self.box_bounds
             if not np.all(np.asarray(lo) < np.asarray(hi)):
                 raise ValueError(f"box_bounds must have lo < hi, got ({lo}, {hi})")
+        if self.damping_init != SolverConfig.damping_init:  # stacklevel 3: the caller of __init__
+            warnings.warn("damping_init (--damping-init) is deprecated and unused; it will be "
+                          "removed in 0.2.0", FutureWarning, stacklevel=3)
+
+    __eq__ = _fields_equal
 
 
 @dataclass
@@ -132,6 +141,8 @@ class VerifyReport:
     def max_deviation(self):
         return float(max(self.dw.max(), self.db.max()))
 
+    __eq__ = _fields_equal
+
 
 def _levenberg_marquardt(problem, z0, cfg, bounds):
     """One damped least-squares run on ``problem`` from ``z0``, one scipy
@@ -158,19 +169,21 @@ def _levenberg_marquardt(problem, z0, cfg, bounds):
 def _start_points(problem, cfg):
     """The start vectors of the multi-start loop, in order:
     ``initial_guess`` if given, else (x_0=0.5, all else 0), then
-    ``multistart_count - 1`` draws from the ``seed``-ed generator.  Each
-    is clipped into ``cfg.box_bounds`` when a box is given; no other code
-    builds or clips a start."""
+    ``multistart_count - 1`` draws from one ``default_rng(cfg.seed)``.
+    The generator is seeded on the first draw, after the first start is
+    yielded, so a search that ends at the first start seeds none.  Every
+    start is clipped into ``cfg.box_bounds``, or into (-inf, inf) when no
+    box is given; no other code builds or clips a start."""
     n = problem.n
-    rng = np.random.default_rng(cfg.seed)
+    lo, hi = (-np.inf, np.inf) if cfg.box_bounds is None else cfg.box_bounds
     if cfg.initial_guess is not None:
-        z0 = np.array(cfg.initial_guess, dtype=float)
+        z0 = np.asarray(cfg.initial_guess, dtype=float)
     else:
         z0 = pack([0.5] + [0.0] * (n - 1), np.zeros(n))
-    for k in range(cfg.multistart_count):
-        if k > 0:
-            z0 = pack(rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n))
-        yield z0 if cfg.box_bounds is None else np.clip(z0, *cfg.box_bounds)
+    yield np.clip(z0, lo, hi)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.multistart_count - 1):
+        yield np.clip(pack(rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n)), lo, hi)
 
 
 def _result(problem, z, r, iterations, tolerance):
@@ -205,16 +218,16 @@ def solve(problem, cfg=SolverConfig()):
     is chosen once per call: dogbox when ``cfg.box_bounds`` is given or
     the problem is underdetermined, else lmder.  A start that is already
     a root is returned as it is, with 0 iterations.  The starts come from
-    ``_start_points``, already clipped into the box.  An exact
-    trace has quantum 0, so only convergence stops it.  On hard instances
-    the root found can differ between runs, because MINPACK's arithmetic
-    in ``leastsq`` depends on memory layout.
+    ``_start_points``, already clipped into the box, one at a time, so a
+    search that stops at the first start seeds no random generator.  An
+    exact trace has quantum 0, so only convergence stops it.  On hard
+    instances the root found can differ between runs, because MINPACK's
+    arithmetic in ``leastsq`` depends on memory layout.
     """
-    n = problem.n
     if not problem.is_determined and not cfg.allow_underdetermined:
         raise InsufficientTraceError(
-            f"need at least {n + 1} epochs for {2 * n} unknowns, trace has "
-            f"{problem.trace.epochs}; set allow_underdetermined to solve anyway"
+            f"need at least {problem.n + 1} epochs for {problem.num_unknowns} unknowns, "
+            f"trace has {problem.trace.epochs}; set allow_underdetermined to solve anyway"
         )
     # lmder (bounds None) handles neither a box nor fewer equations than
     # unknowns; dogbox handles both
@@ -222,13 +235,12 @@ def solve(problem, cfg=SolverConfig()):
     if bounds is None and not problem.is_determined:
         bounds = (-np.inf, np.inf)
 
-    tol = cfg.residual_tolerance
     best = None
     for starts_tried, z0 in enumerate(_start_points(problem, cfg), start=1):
-        result = _result(problem, z0, residuals(z0, problem), 0, tol)
+        result = _result(problem, z0, residuals(z0, problem), 0, cfg.residual_tolerance)
         if not result.converged:  # not already a root
             z, r, iterations = _levenberg_marquardt(problem, z0, cfg, bounds)
-            result = _result(problem, z, r, iterations, tol)
+            result = _result(problem, z, r, iterations, cfg.residual_tolerance)
         if best is None or result.within_precision or result.residual_norm < best.residual_norm:
             best = result
         if result.within_precision:

@@ -83,15 +83,17 @@ class TraceValidationError(ValueError):
 
 
 def _fields_equal(self, other):
-    """``__eq__`` of the dataclasses below: every compared field equal,
-    array fields compared elementwise; NotImplemented for another type."""
+    """``__eq__`` of the dataclasses below and of ``SolverConfig`` and
+    ``VerifyReport``: every compared field equal, a field that is an
+    ndarray on either side compared elementwise (None or a list against
+    an array compares unequal or by value, never raising);
+    NotImplemented for another type."""
     if not isinstance(other, type(self)):
         return NotImplemented
     for f in fields(self):
-        if not f.compare:
-            continue
         a, b = getattr(self, f.name), getattr(other, f.name)
-        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+        arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+        if f.compare and not (np.array_equal(a, b) if arrays else a == b):
             return False
     return True
 
@@ -396,7 +398,8 @@ def _indexed(rows, key, count, rule, count_rule=None):
 
     ``rows`` is the row map that ``_parse`` returns.  Each row's
     ``tokens[1]`` is its index, and the indices must be 0..count-1, each
-    once, in any order.  A number of rows other than ``count`` raises
+    once, in any order; one loop places every row at its index, rows in
+    file order included.  A number of rows other than ``count`` raises
     ``count_rule`` (default ``rule``); an index out of range or repeated
     raises ``rule``.  The count is checked first, so a huge declared
     count allocates nothing.
@@ -407,8 +410,6 @@ def _indexed(rows, key, count, rule, count_rule=None):
             f"expected {count} '{key}' records, found {len(found)}", rule=count_rule or rule
         )
     indices = [_number(int, t[1], ln) for ln, t in found]
-    if indices == list(range(count)):
-        return found
     ordered = [None] * count
     for j, row in zip(indices, found):
         if not 0 <= j < count or ordered[j] is not None:

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,18 @@ def test_reconstruct_report_to_stdout(tmp_path, capsys):
     assert run("reconstruct", str(tpath)) == 0
     out = capsys.readouterr().out
     assert out.startswith("traceinv-report 1\n")
+
+
+def test_reconstruct_damping_init_is_deprecated(tmp_path, capsys):
+    tpath = tmp_path / "t.trace"
+    assert run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath)) == 0
+    report = str(tmp_path / "r.report")
+    with pytest.warns(FutureWarning, match="--damping-init.*removed in 0.2.0"):
+        assert run("reconstruct", str(tpath), "--damping-init", "0.01", "-o", report) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("reconstruct", str(tpath), "-o", report) == 0
+    capsys.readouterr()
 
 
 def test_reconstruct_short_trace_message(tmp_path, capsys):

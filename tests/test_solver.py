@@ -1,6 +1,7 @@
 """Reconstruction: closed form, damped least squares, matching, verification."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from traceinv import (
     train,
     verify_reconstruction,
 )
+from traceinv.solver import _start_points
 
 from conftest import make_trace, random_dataset
 
@@ -235,6 +237,44 @@ def test_box_bounds_clip_the_iterates(rng):
         assert np.all((z >= 0.6) & (z <= 0.95))
         assert res.converged and res.starts_tried == 1
         assert match_solutions(res.recovered, secret).max_abs_error < 1e-6
+
+
+def test_start_points_sequence(monkeypatch):
+    # start 0 is the clipped guess or default start; start k >= 1 is
+    # pack(x draws, y draws) from one default_rng(seed), clipped
+    for n, seed, given, box in itertools.product(
+        (1, 3), (0, 7, 2**40), (False, True), (None, (-0.5, 0.6))
+    ):
+        p = problem_for(Dataset(np.linspace(0.1, 0.9, n), np.full(n, 0.4)), epochs=n + 1)
+        guess = np.linspace(-1.0, 1.0, 2 * n) if given else None
+        first = guess if given else pack([0.5] + [0.0] * (n - 1), np.zeros(n))
+        cfg = SolverConfig(seed=seed, multistart_count=5, initial_guess=guess, box_bounds=box)
+        lo, hi = box or (-np.inf, np.inf)
+        rng = np.random.default_rng(seed)
+        draws = [pack(rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n)) for _ in range(4)]
+        expected = [np.clip(z, lo, hi).tobytes() for z in [first, *draws]]
+        assert [z.tobytes() for z in _start_points(p, cfg)] == expected
+
+    # the generator is seeded on its first draw, so a search that ends at
+    # the first start seeds none
+    def no_rng(seed):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    p = problem_for(Dataset([0.6], [0.5]), epochs=2)
+    assert next(_start_points(p, SolverConfig())).tobytes() == pack([0.5], [0.0]).tobytes()
+    assert solve(p).starts_tried == 1
+
+
+def test_damping_init_is_deprecated():
+    with pytest.warns(FutureWarning, match="removed in 0.2.0") as record:
+        cfg = SolverConfig(damping_init=0.01)
+    assert cfg.damping_init == 0.01
+    assert record[0].filename == __file__  # points at the caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SolverConfig()
+        SolverConfig(damping_init=SolverConfig.damping_init)
 
 
 def test_solver_config_validation():

@@ -1,5 +1,6 @@
 """Trace file format: lossless round trips, precision control, validation."""
 
+import copy
 import io
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from traceinv import (
     Dataset,
     ParamTrace,
+    SolverConfig,
     TraceDebug,
     TraceParseError,
     TraceValidationError,
     TrainConfig,
+    VerifyReport,
     dumps_trace,
     load_trace,
     loads_trace,
@@ -171,6 +174,34 @@ def test_equality_compares_every_field():
             assert obj.__eq__(other) is NotImplemented
             assert obj != other
     assert data != debug and debug != tr and tr != data
+
+
+def test_value_types_compare_arrays_elementwise():
+    # an array field on one side only, or on both, never raises numpy's
+    # "truth value is ambiguous"
+    def with_field(obj, name, value):
+        other = copy.deepcopy(obj)
+        object.__setattr__(other, name, value)  # SolverConfig is frozen
+        return other
+
+    debug = TraceDebug(yhat=[[0.1], [0.2]], loss=[0.3, 0.4])
+    cases = [
+        (Dataset([0.6, 0.2], [0.5, 0.4]), "ys"),
+        (debug, "loss"),
+        (ParamTrace(0.1, 1, [0.5, 0.4], [0.5, 0.3], debug=debug), "ws"),
+        (SolverConfig(initial_guess=np.array([0.5, 0.1])), "initial_guess"),
+        (VerifyReport(dw=np.array([0.0, 1e-9]), db=np.array([0.0, 2e-9]),
+                      threshold=1e-8, passed=True), "db"),
+    ]
+    for obj, name in cases:
+        assert obj == copy.deepcopy(obj)
+        changed = with_field(obj, name, getattr(obj, name) + 1.0)
+        for other in (changed, with_field(obj, name, None)):
+            assert obj != other and other != obj
+    guess = np.array([0.5, 0.1])
+    assert SolverConfig() != SolverConfig(initial_guess=guess)
+    assert SolverConfig(initial_guess=list(guess)) == SolverConfig(initial_guess=guess)
+    assert hash(SolverConfig()) == hash(SolverConfig())
 
 
 def test_debug_block_round_trips_and_is_optional(rng):
