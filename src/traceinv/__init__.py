@@ -54,7 +54,7 @@ from .trace import (
     save_trace,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "DIVERGENCE_LIMIT",

@@ -69,7 +69,6 @@ def cmd_reconstruct(args):
         max_iterations=args.max_iterations,
         residual_tolerance=args.residual_tolerance,
         step_tolerance=args.step_tolerance,
-        damping_init=args.damping_init,
         multistart_count=args.multistart_count,
         seed=args.seed,
         box_bounds=tuple(args.box_bounds) if args.box_bounds else None,
@@ -159,21 +158,18 @@ def build_parser():
     p = sub.add_parser("reconstruct", help="recover the training data behind a trace")
     p.add_argument("trace", help="trace file to invert")
     p.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations,
-                   help="each start stops after 2x this many residual "
-                        "evaluations (default %(default)s)")
+                   help="each start stops after 2x this many residual evaluations; "
+                        "an integer in 1..1073741823 (default %(default)s)")
     p.add_argument("--residual-tolerance", type=float,
                    default=SolverConfig.residual_tolerance,
                    help="max-norm required for convergence (default %(default)s)")
     p.add_argument("--step-tolerance", type=float, default=SolverConfig.step_tolerance,
                    help="relative step tolerance, MINPACK xtol (default %(default)s)")
-    p.add_argument("--damping-init", type=float, default=SolverConfig.damping_init,
-                   help="deprecated, to be removed in 0.2.0: validated but "
-                        "unused, MINPACK sets its own initial step bound")
     p.add_argument("--multistart-count", type=int,
                    default=SolverConfig.multistart_count,
-                   help="start points to try before giving up (default %(default)s)")
+                   help="start points to try before giving up, >= 1 (default %(default)s)")
     p.add_argument("--seed", type=int, default=SolverConfig.seed,
-                   help="seed for the random start points (default %(default)s)")
+                   help="seed for the random start points, >= 0 (default %(default)s)")
     p.add_argument("--box-bounds", nargs=2, type=float, metavar=("LO", "HI"),
                    default=None,
                    help="keep iterates inside [LO, HI]; needs LO < HI")

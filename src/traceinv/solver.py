@@ -28,8 +28,8 @@ permutation.
 
 from __future__ import annotations
 
+import math
 import numbers
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,22 +53,22 @@ class SolverConfig:
     result counts as converged only below it.  ``step_tolerance`` is the
     solver's relative step tolerance (MINPACK ``xtol``), and
     ``max_iterations`` caps each start at ``2 * max_iterations`` residual
-    evaluations.  ``damping_init`` is deprecated and will be removed in
-    0.2.0: it is validated but unused, since MINPACK sets its own
-    initial step bound, and a value other than the default raises a
-    ``FutureWarning``.  Start points: ``initial_guess`` (finite) if
-    given, else (x_0=0.5, all else 0); the remaining ``multistart_count -
-    1`` starts draw x uniformly from [0, 1] and y uniformly from [-0.9,
-    0.9] from a generator seeded with ``seed`` (an integer >= 0) on its
-    first draw.  ``box_bounds = (lo, hi)``, with lo < hi, keeps every
-    iterate inside the box; starts are clipped into it.  Configs compare
-    by value, ``initial_guess`` elementwise.
+    evaluations.  Start points: ``initial_guess`` (finite) if given, else
+    (x_0=0.5, all else 0); the remaining ``multistart_count - 1`` starts
+    draw x uniformly from [0, 1] and y uniformly from [-0.9, 0.9] from a
+    generator seeded with ``seed`` on its first draw.  The three integer
+    fields must be integers (``numbers.Integral``, so numpy integers
+    too) in range: ``max_iterations`` in 1..2**30 - 1, since twice it is
+    MINPACK's C-int ``maxfev``, ``multistart_count >= 1`` and ``seed >=
+    0``; anything else raises ``ValueError`` naming the field.
+    ``box_bounds = (lo, hi)``, with lo < hi, keeps every iterate inside
+    the box; starts are clipped into it.  Configs compare by value,
+    arrays (``initial_guess``, array ``box_bounds``) elementwise.
     """
 
     max_iterations: int = 200
     residual_tolerance: float = 1e-10
     step_tolerance: float = 1e-12
-    damping_init: float = 1e-3
     multistart_count: int = 16
     seed: int = 0
     box_bounds: tuple | None = None
@@ -76,24 +76,23 @@ class SolverConfig:
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 1 <= self.max_iterations <= 2**30 - 1:  # 2x is MINPACK's C-int maxfev
-            raise ValueError("max_iterations must be in 1..1073741823")
-        for name in ("residual_tolerance", "step_tolerance", "damping_init"):
+        for name, lo, hi, rule in (
+            ("max_iterations", 1, 2**30 - 1, "in 1..1073741823 (2x is MINPACK's C-int maxfev)"),
+            ("multistart_count", 1, math.inf, ">= 1"),
+            ("seed", 0, math.inf, ">= 0"),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+                raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
+        for name in ("residual_tolerance", "step_tolerance"):
             if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be > 0")
-        if self.multistart_count < 1:
-            raise ValueError("multistart_count must be >= 1")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.initial_guess is not None and not np.isfinite(self.initial_guess).all():
             raise ValueError("initial_guess must be finite")
         if self.box_bounds is not None:
             lo, hi = self.box_bounds
             if not np.all(np.asarray(lo) < np.asarray(hi)):
                 raise ValueError(f"box_bounds must have lo < hi, got ({lo}, {hi})")
-        if self.damping_init != SolverConfig.damping_init:  # stacklevel 3: the caller of __init__
-            warnings.warn("damping_init (--damping-init) is deprecated and unused; it will be "
-                          "removed in 0.2.0", FutureWarning, stacklevel=3)
 
     __eq__ = _fields_equal
 

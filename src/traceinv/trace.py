@@ -82,20 +82,26 @@ class TraceValidationError(ValueError):
         super().__init__(f"{message} [rule: {rule}]")
 
 
+def _equal(a, b):
+    """One field's equality: an ndarray on either side compares
+    elementwise (None or a list against an array compares unequal or by
+    value, never raising), and two tuples, such as array ``box_bounds``,
+    compare item by item under the same rule."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
 def _fields_equal(self, other):
     """``__eq__`` of the dataclasses below and of ``SolverConfig`` and
-    ``VerifyReport``: every compared field equal, a field that is an
-    ndarray on either side compared elementwise (None or a list against
-    an array compares unequal or by value, never raising);
+    ``VerifyReport``: every compared field equal under ``_equal``;
     NotImplemented for another type."""
     if not isinstance(other, type(self)):
         return NotImplemented
-    for f in fields(self):
-        a, b = getattr(self, f.name), getattr(other, f.name)
-        arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
-        if f.compare and not (np.array_equal(a, b) if arrays else a == b):
-            return False
-    return True
+    return all(_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
 
 
 @dataclass

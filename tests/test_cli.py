@@ -1,15 +1,16 @@
 """Command-line behavior: flags, file contracts, exit codes, pipelines."""
 
 import os
+import re
 import shlex
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import traceinv
 from traceinv import Dataset, SolverConfig, TrainConfig, load_trace, train
 from traceinv.cli import build_parser, load_dataset, main
 from traceinv.trace import TraceParseError, TraceValidationError, save_dataset
@@ -200,18 +201,6 @@ def test_reconstruct_report_to_stdout(tmp_path, capsys):
     assert out.startswith("traceinv-report 1\n")
 
 
-def test_reconstruct_damping_init_is_deprecated(tmp_path, capsys):
-    tpath = tmp_path / "t.trace"
-    assert run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath)) == 0
-    report = str(tmp_path / "r.report")
-    with pytest.warns(FutureWarning, match="--damping-init.*removed in 0.2.0"):
-        assert run("reconstruct", str(tpath), "--damping-init", "0.01", "-o", report) == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run("reconstruct", str(tpath), "-o", report) == 0
-    capsys.readouterr()
-
-
 def test_reconstruct_short_trace_message(tmp_path, capsys):
     tpath = tmp_path / "one.trace"
     run("train", "--x", "0.6", "--y", "0.5", "--epochs", "1", "-o", str(tpath))
@@ -233,7 +222,7 @@ def test_reconstruct_input_errors(tmp_path, capsys):
     assert run("reconstruct", str(tpath), "--seed", "-1") == 2
     assert run("reconstruct", str(tpath), "--box-bounds", "1", "-1") == 2
     assert run("reconstruct", str(tpath), "--box-bounds", "0.5", "0.5") == 2
-    for flag in ("--residual-tolerance", "--step-tolerance", "--damping-init"):
+    for flag in ("--residual-tolerance", "--step-tolerance"):
         assert run("reconstruct", str(tpath), flag, "nan") == 2
     # n/(2 eta) * (w_0 - w_1) overflows to inf
     huge = tmp_path / "huge.trace"
@@ -380,13 +369,14 @@ def test_feasibility_bad_shape(capsys):
 # --- argparse plumbing ------------------------------------------------------
 
 
-def test_usage_errors_exit_two():
-    with pytest.raises(SystemExit) as excinfo:
-        run()
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        run("not-a-command")
-    assert excinfo.value.code == 2
+def test_usage_errors_exit_two(tmp_path):
+    tpath = tmp_path / "t.trace"
+    assert run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath)) == 0
+    # the last argv names a flag removed in 0.2.0
+    for argv in ((), ("not-a-command",), ("reconstruct", str(tpath), "--damping-init", "0.01")):
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv)
+        assert excinfo.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -468,6 +458,13 @@ def test_readme_cli_block_runs(tmp_path):
         assert proc.returncode == 0, (line, proc.stderr)
         if argv[1] == "verify":
             assert "PASS" in proc.stdout
+
+
+def test_package_version_matches_pyproject():
+    # a regex, not tomllib, which Python 3.10 lacks
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]+)"$', pyproject, re.M) == [traceinv.__version__]
 
 
 # --- the full pipeline ------------------------------------------------------

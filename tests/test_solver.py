@@ -1,7 +1,6 @@
 """Reconstruction: closed form, damped least squares, matching, verification."""
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -266,17 +265,6 @@ def test_start_points_sequence(monkeypatch):
     assert solve(p).starts_tried == 1
 
 
-def test_damping_init_is_deprecated():
-    with pytest.warns(FutureWarning, match="removed in 0.2.0") as record:
-        cfg = SolverConfig(damping_init=0.01)
-    assert cfg.damping_init == 0.01
-    assert record[0].filename == __file__  # points at the caller
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        SolverConfig()
-        SolverConfig(damping_init=SolverConfig.damping_init)
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
@@ -286,11 +274,21 @@ def test_solver_config_validation():
     SolverConfig(max_iterations=2**30 - 1)
     with pytest.raises(ValueError):
         SolverConfig(residual_tolerance=0.0)
-    for name in ("residual_tolerance", "step_tolerance", "damping_init"):
+    for name in ("residual_tolerance", "step_tolerance"):
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: float("nan")})
     with pytest.raises(ValueError):
         SolverConfig(multistart_count=0)
+    # the integer fields take integers only, numpy's included
+    for name, value in (("max_iterations", 2.5), ("multistart_count", 2.5),
+                        ("multistart_count", None), ("max_iterations", "5")):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+    cfg = SolverConfig(max_iterations=np.int64(3), multistart_count=np.int64(3))
+    assert (cfg.max_iterations, cfg.multistart_count) == (3, 3)
+    # removed in 0.2.0: it never reached the solver
+    with pytest.raises(TypeError, match="damping_init"):
+        SolverConfig(damping_init=1e-3)
     for seed in (-1, 0.5, None):
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=seed)

@@ -198,6 +198,11 @@ def test_value_types_compare_arrays_elementwise():
         changed = with_field(obj, name, getattr(obj, name) + 1.0)
         for other in (changed, with_field(obj, name, None)):
             assert obj != other and other != obj
+    # a tuple of arrays compares item by item
+    box = SolverConfig(box_bounds=(np.zeros(2), np.ones(2)))
+    assert box == copy.deepcopy(box)
+    changed = SolverConfig(box_bounds=(np.zeros(2), np.array([1.0, 2.0])))
+    assert box != changed and changed != box and box != SolverConfig()
     guess = np.array([0.5, 0.1])
     assert SolverConfig() != SolverConfig(initial_guess=guess)
     assert SolverConfig(initial_guess=list(guess)) == SolverConfig(initial_guess=guess)
