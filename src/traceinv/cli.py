@@ -95,8 +95,8 @@ def cmd_verify(args):
         report = verify_reconstruction(trace, data, threshold=args.threshold)
     except TrainingDivergedError as exc:
         raise RuntimeError(f"retraining on the recovered dataset diverged: {exc}") from exc
-    for j in range(trace.epochs):
-        print(f"epoch {j}  |dw| {report.dw[j]:.3e}  |db| {report.db[j]:.3e}")
+    rows = enumerate(zip(report.dw.tolist(), report.db.tolist()))
+    print("\n".join(f"epoch {j}  |dw| {dw:.3e}  |db| {db:.3e}" for j, (dw, db) in rows))
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict}: max deviation {report.max_deviation:.3e} "

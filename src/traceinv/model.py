@@ -72,7 +72,9 @@ def _tanh_terms(w, b, x, y):
 
 def _gradient(w, b, xs, ys):
     _, _, Z = _tanh_terms(w, b, xs, ys)
-    return 2.0 * float(np.mean(xs * Z)), 2.0 * float(np.mean(Z))
+    n = len(xs)
+    # bitwise np.mean for float64 (add.reduce, then / count) without its wrapper
+    return 2.0 * (float(np.add.reduce(xs * Z)) / n), 2.0 * (float(np.add.reduce(Z)) / n)
 
 
 def forward(params, xs):
@@ -116,14 +118,15 @@ def train(data, cfg, debug=False):
     parameters blow up.
     """
     w, b = cfg.init.w, cfg.init.b
+    xs, ys, eta = data.xs, data.ys, cfg.eta
     ws = np.empty(cfg.epochs)
     bs = np.empty(cfg.epochs)
     ws[0], bs[0] = w, b
     # the update after the last recorded epoch is unobservable, so E-1 steps
     for j in range(1, cfg.epochs):
-        dw, db = _gradient(w, b, data.xs, data.ys)
-        w = w - cfg.eta * dw
-        b = b - cfg.eta * db
+        dw, db = _gradient(w, b, xs, ys)
+        w = w - eta * dw
+        b = b - eta * db
         if not (abs(w) <= DIVERGENCE_LIMIT and abs(b) <= DIVERGENCE_LIMIT):  # NaN fails too
             raise TrainingDivergedError(j, w, b)
         ws[j], bs[j] = w, b

@@ -58,12 +58,16 @@ class SolverConfig:
     draw x uniformly from [0, 1] and y uniformly from [-0.9, 0.9] from a
     generator seeded with ``seed`` on its first draw.  The three integer
     fields must be integers (``numbers.Integral``, so numpy integers
-    too) in range: ``max_iterations`` in 1..2**30 - 1, since twice it is
-    MINPACK's C-int ``maxfev``, ``multistart_count >= 1`` and ``seed >=
-    0``; anything else raises ``ValueError`` naming the field.
+    too, but not ``bool``) in range: ``max_iterations`` in 1..2**30 - 1,
+    since twice it is MINPACK's C-int ``maxfev``, ``multistart_count >=
+    1`` and ``seed >= 0``; anything else raises ``ValueError`` naming the
+    field.  The two tolerances must be real numbers (``numbers.Real``)
+    above 0, else ``ValueError``.
     ``box_bounds = (lo, hi)``, with lo < hi, keeps every iterate inside
     the box; starts are clipped into it.  Configs compare by value,
-    arrays (``initial_guess``, array ``box_bounds``) elementwise.
+    arrays (``initial_guess``, array ``box_bounds``) elementwise, and
+    hash by the six scalar fields alone, so equal configs hash equal
+    and hashing never fails on an array field.
     """
 
     max_iterations: int = 200
@@ -82,11 +86,13 @@ class SolverConfig:
             ("seed", 0, math.inf, ">= 0"),
         ):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and lo <= value <= hi):
+            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                    and lo <= value <= hi):
                 raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
         for name in ("residual_tolerance", "step_tolerance"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):  # also rejects NaN
+                raise ValueError(f"{name} must be a number > 0, got {value!r}")
         if self.initial_guess is not None and not np.isfinite(self.initial_guess).all():
             raise ValueError("initial_guess must be finite")
         if self.box_bounds is not None:
@@ -95,6 +101,10 @@ class SolverConfig:
                 raise ValueError(f"box_bounds must have lo < hi, got ({lo}, {hi})")
 
     __eq__ = _fields_equal
+
+    def __hash__(self):
+        return hash((self.max_iterations, self.residual_tolerance, self.step_tolerance,
+                     self.multistart_count, self.seed, self.allow_underdetermined))
 
 
 @dataclass
@@ -179,10 +189,11 @@ def _start_points(problem, cfg):
         z0 = np.asarray(cfg.initial_guess, dtype=float)
     else:
         z0 = pack([0.5] + [0.0] * (n - 1), np.zeros(n))
-    yield np.clip(z0, lo, hi)
+    yield np.minimum(np.maximum(z0, lo), hi)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.multistart_count - 1):
-        yield np.clip(pack(rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n)), lo, hi)
+        z = pack(rng.uniform(0.0, 1.0, n), rng.uniform(-0.9, 0.9, n))
+        yield np.minimum(np.maximum(z, lo), hi)
 
 
 def _result(problem, z, r, iterations, tolerance):

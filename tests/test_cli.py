@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import traceinv
-from traceinv import Dataset, SolverConfig, TrainConfig, load_trace, train
+from traceinv import Dataset, SolverConfig, TrainConfig, load_trace, train, verify_reconstruction
 from traceinv.cli import build_parser, load_dataset, main
 from traceinv.trace import TraceParseError, TraceValidationError, save_dataset
 
@@ -300,6 +300,19 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     save_dataset(Dataset([0.61, 0.2], [0.5, 0.4]), bad)
     assert run("verify", str(tpath), str(bad)) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_prints_one_line_per_epoch_then_the_verdict(tmp_path, capsys):
+    tpath = tmp_path / "run.trace"
+    run("train", "--x", "0.6", "--y", "0.5", "--epochs", "7", "-o", str(tpath))
+    near = tmp_path / "near.dataset"
+    save_dataset(Dataset([0.6 + 1e-9], [0.5]), near)
+    assert run("verify", str(tpath), str(near)) == 0
+    report = verify_reconstruction(load_trace(tpath), load_dataset(near))
+    want = [f"epoch {j}  |dw| {float(report.dw[j]):.3e}  |db| {float(report.db[j]):.3e}"
+            for j in range(7)]
+    want.append(f"PASS: max deviation {report.max_deviation:.3e} vs threshold 1.0e-08")
+    assert capsys.readouterr().out.splitlines() == want
 
 
 def test_verify_threshold_flag(tmp_path, capsys):

@@ -153,6 +153,25 @@ def test_train_steps_are_exact_gradient_steps(rng):
                 assert tr.bs[j + 1] == tr.bs[j] - eta * db
 
 
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 20, 300])
+def test_train_matches_np_mean_steps_bit_for_bit(n, rng):
+    # the step through np.mean, compared in-process so the test holds for
+    # any numpy version and tanh build; n >= 9 takes pairwise summation
+    data = random_dataset(rng, n)
+    eta, epochs = 0.7, 60
+    w, b = 0.5, 0.5
+    ws, bs = [w], [b]
+    for _ in range(epochs - 1):
+        T = np.tanh(w * data.xs + b)
+        Z = (T - data.ys) * (1.0 - T**2)
+        w = w - eta * (2.0 * float(np.mean(data.xs * Z)))
+        b = b - eta * (2.0 * float(np.mean(Z)))
+        ws.append(w)
+        bs.append(b)
+    tr = train(data, TrainConfig(eta=eta, epochs=epochs))
+    assert np.array_equal(tr.ws, ws) and np.array_equal(tr.bs, bs)
+
+
 def test_train_records_before_updating():
     data = Dataset([0.6], [0.5])
     cfg = TrainConfig(eta=0.1, epochs=2)

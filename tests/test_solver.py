@@ -275,8 +275,9 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(residual_tolerance=0.0)
     for name in ("residual_tolerance", "step_tolerance"):
-        with pytest.raises(ValueError, match=name):
-            SolverConfig(**{name: float("nan")})
+        for value in (float("nan"), np.array([1e-10])):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{name: value})
     with pytest.raises(ValueError):
         SolverConfig(multistart_count=0)
     # the integer fields take integers only, numpy's included
@@ -298,6 +299,21 @@ def test_solver_config_validation():
     for bounds in ((1.0, -1.0), (0.5, 0.5)):
         with pytest.raises(ValueError, match="lo < hi"):
             SolverConfig(box_bounds=bounds)
+
+
+@pytest.mark.parametrize("name", ["max_iterations", "multistart_count", "seed"])
+def test_solver_config_rejects_bool_integers(name):
+    # bool is a numbers.Integral, but True is no start count
+    for value in (True, False):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+
+def test_solver_config_hash_follows_equality():
+    arrays = SolverConfig(initial_guess=np.ones(2), box_bounds=(np.zeros(2), np.ones(2)))
+    lists = SolverConfig(initial_guess=[1.0, 1.0], box_bounds=([0.0, 0.0], [1.0, 1.0]))
+    assert arrays == lists and hash(arrays) == hash(lists)
+    assert len({arrays, lists, SolverConfig()}) == 2
 
 
 # --- permutation-aware matching ---------------------------------------------
