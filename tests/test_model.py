@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from traceinv import (
+    DIVERGENCE_LIMIT,
     Dataset,
     Params,
     TrainConfig,
@@ -16,6 +17,7 @@ from traceinv import (
     mse,
     train,
 )
+from traceinv.model import _tanh_terms
 
 from conftest import random_dataset, reference_loop
 
@@ -153,23 +155,65 @@ def test_train_steps_are_exact_gradient_steps(rng):
                 assert tr.bs[j + 1] == tr.bs[j] - eta * db
 
 
-@pytest.mark.parametrize("n", [1, 3, 8, 9, 20, 300])
-def test_train_matches_np_mean_steps_bit_for_bit(n, rng):
-    # the step through np.mean, compared in-process so the test holds for
-    # any numpy version and tanh build; n >= 9 takes pairwise summation
-    data = random_dataset(rng, n)
-    eta, epochs = 0.7, 60
-    w, b = 0.5, 0.5
+def test_tanh_terms_on_floats_match_one_element_arrays(rng):
+    # train steps one instance on Python floats, so np.tanh's 0-d path must
+    # give the bits of its one-element array loop, saturated and tiny too
+    w = rng.normal(0.0, 2.0, 3000)
+    b = rng.normal(0.0, 1.0, 3000)
+    x = rng.uniform(-3.0, 3.0, 3000)
+    y = rng.uniform(-1.0, 1.0, 3000)
+    w[:1000] = rng.choice([-1.0, 1.0], 1000) * rng.uniform(10.0, 40.0, 1000)
+    x[:1000] = rng.choice([-1.0, 1.0], 1000) * rng.uniform(2.0, 3.0, 1000)
+    w[1000:2000] = 10.0 ** rng.uniform(-320.0, -5.0, 1000)  # subnormal to 1e-5
+    b[1000:2000] = 0.0
+    assert np.all(np.abs(w[:1000] * x[:1000] + b[:1000]) > 19.0)
+    got = [_tanh_terms(*map(float, point)) for point in zip(w, b, x, y)]
+    want = [[v[0] for v in _tanh_terms(float(wi), float(bi), np.array([xi]), np.array([yi]))]
+            for wi, bi, xi, yi in zip(w, b, x, y)]
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
+def _np_mean_run(data, cfg):
+    """train's loop on arrays, stepping through np.mean: (ws, bs), or the
+    epoch and message of the divergence it raises."""
+    w, b, eta = cfg.init.w, cfg.init.b, cfg.eta
     ws, bs = [w], [b]
-    for _ in range(epochs - 1):
+    for j in range(1, cfg.epochs):
         T = np.tanh(w * data.xs + b)
         Z = (T - data.ys) * (1.0 - T**2)
         w = w - eta * (2.0 * float(np.mean(data.xs * Z)))
         b = b - eta * (2.0 * float(np.mean(Z)))
+        if not (abs(w) <= DIVERGENCE_LIMIT and abs(b) <= DIVERGENCE_LIMIT):
+            return j, str(TrainingDivergedError(j, w, b))
         ws.append(w)
         bs.append(b)
-    tr = train(data, TrainConfig(eta=eta, epochs=epochs))
-    assert np.array_equal(tr.ws, ws) and np.array_equal(tr.bs, bs)
+    return ws, bs
+
+
+def _train_run(data, cfg):
+    try:
+        tr = train(data, cfg)
+    except TrainingDivergedError as exc:
+        return exc.epoch, str(exc)
+    return tr.ws.tolist(), tr.bs.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 20, 300])
+def test_train_matches_np_mean_steps_bit_for_bit(n, rng):
+    # the step through np.mean, compared in-process so the test holds for
+    # any numpy version and tanh build; n >= 9 takes pairwise summation.
+    # One instance steps on Python floats: at eta 2 and 4 its orbit is
+    # chaotic, so one differing bit would grow, and huge etas diverge.
+    cases = [(random_dataset(rng, n), TrainConfig(eta=0.7, epochs=60))]
+    if n == 1:
+        for eta in (2.0, 4.0) * 10 + (1e7, 1e9, 1.7e308):
+            data = Dataset(rng.uniform(-1.0, 1.0, 1), rng.uniform(-0.9, 0.9, 1))
+            init = Params(*map(float, rng.uniform(-1.0, 1.0, 2)))
+            cases.append((data, TrainConfig(eta=eta, epochs=300, init=init)))
+    outcomes = [_train_run(data, cfg) for data, cfg in cases]
+    assert outcomes == [_np_mean_run(data, cfg) for data, cfg in cases]
+    if n == 1:
+        assert {type(first) for first, _ in outcomes} == {list, int}  # both kinds ran
 
 
 def test_train_records_before_updating():
@@ -203,12 +247,23 @@ def test_stationary_dataset_leaves_parameters_unchanged():
 
 
 def test_train_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        TrainConfig(eta=0.0, epochs=5)
-    with pytest.raises(ValueError):
-        TrainConfig(eta=-0.1, epochs=5)
-    with pytest.raises(ValueError):
-        TrainConfig(eta=0.1, epochs=0)
+    for eta in (0.0, -0.1, math.inf, math.nan, np.array([0.1]), "0.1", None):
+        with pytest.raises(ValueError, match="^eta must be a finite real number > 0"):
+            TrainConfig(eta=eta, epochs=5)
+    for epochs in (0, -3, 2.5, 3.0, True, np.array([3]), "3"):
+        with pytest.raises(ValueError, match="^epochs must be an integer >= 1"):
+            TrainConfig(eta=0.1, epochs=epochs)
+    for w, b, name in ((np.array([0.5]), 0.5, "w"), (0.5, math.nan, "b"), (0.5, -math.inf, "b"),
+                       (math.inf, 0.5, "w"), ("0.5", 0.5, "w"), (0.5, None, "b")):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
+            Params(w, b)
+    # numpy scalars and Python ints are numbers too, and train steps in float64
+    cfg = TrainConfig(eta=np.float32(0.5), epochs=np.int64(4), init=Params(1, np.float32(0.25)))
+    want = TrainConfig(eta=0.5, epochs=4, init=Params(1.0, 0.25))
+    for n in (1, 2):
+        data = random_dataset(np.random.default_rng(n), n)
+        assert np.array_equal(train(data, cfg).ws, train(data, want).ws)
+        assert np.array_equal(train(data, cfg).bs, train(data, want).bs)
 
 
 def test_train_divergence_raises_and_names_epoch():
