@@ -8,11 +8,12 @@ counting for wider networks).
 
 Exit codes: 0 success; 1 runtime failure (training diverged,
 verification FAIL, output could not be written); 2 usage or input
-error, including an input too large to allocate; 3 reconstruction
-finished without converging, including a stop within a rounded trace's
-precision (the report is still written).  ``main`` maps exceptions to
-these codes: a handler raises ``RuntimeError`` for 1 and
-``OSError``/``ValueError`` for 2, and a ``MemoryError`` also gives 2.
+error, including an input too large to allocate or to convert to a
+float; 3 reconstruction finished without converging, including a stop
+within a rounded trace's precision (the report is still written).
+``main`` maps exceptions to these codes: a handler raises
+``RuntimeError`` for 1 and ``OSError``/``ValueError`` for 2, and a
+``MemoryError`` or ``OverflowError`` also gives 2.
 
 The trace, dataset, and report file formats live in ``trace``.
 """
@@ -110,11 +111,12 @@ def cmd_feasibility(args):
         width=args.width, layers=args.layers, instances=args.instances, epochs=args.epochs
     )
     report = feasibility(shape)
+    bound = args.instances / args.width  # OverflowError (exit 2) beyond float range
     print(f"unknowns   {report.unknowns}")
     print(f"equations  {report.equations}")
     print(f"feasible   {'yes' if report.feasible else 'no'}")
     print(f"min_epochs {report.min_epochs}")
-    print(f"rough bound: epochs >= instances/width = {args.instances / args.width:g}")
+    print(f"rough bound: epochs >= instances/width = {bound:g}")
     print(report.label)
     return 0
 
@@ -184,7 +186,7 @@ def build_parser():
     p.add_argument("trace", help="observed trace file")
     p.add_argument("dataset", help="recovered dataset (dataset or report file)")
     p.add_argument("--threshold", type=float, default=1e-8,
-                   help="largest per-epoch deviation allowed for PASS; needs >= 0 "
+                   help="largest per-epoch deviation allowed for PASS; finite, >= 0 "
                         "(default 1e-8)")
     p.set_defaults(func=cmd_verify)
 
@@ -208,7 +210,7 @@ def main(argv=None):
         return args.func(args)
     except RuntimeError as exc:  # includes TrainingDivergedError
         code, message = 1, exc
-    except (OSError, ValueError) as exc:  # unreadable or invalid input
+    except (OSError, ValueError, OverflowError) as exc:  # unreadable, invalid or too large
         code, message = 2, exc
     except MemoryError as exc:  # an input size too large to allocate
         code, message = 2, str(exc) or "input too large to allocate"

@@ -17,13 +17,11 @@ one-element array path at a fraction of numpy's per-call cost.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trace import Dataset, ParamTrace, TraceDebug  # Dataset: train's input, re-exported
+from .trace import Dataset, ParamTrace, TraceDebug, _checked  # Dataset: train's input, re-exported
 
 # training aborts once |w| or |b| leaves this range
 DIVERGENCE_LIMIT = 1e6
@@ -42,33 +40,28 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Params:
-    """Weight and bias of the neuron."""
+    """Weight and bias of the neuron, each a finite real number."""
 
     w: float
     b: float
 
     def __post_init__(self):
-        for name in ("w", "b"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        _checked("w", self.w, "a finite real number")
+        _checked("b", self.b, "a finite real number")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Learning rate, number of recorded epochs, and initial parameters."""
+    """Learning rate ``eta`` (finite, > 0), number of recorded ``epochs``
+    (an integer >= 1), and initial parameters."""
 
     eta: float
     epochs: int
     init: Params = field(default_factory=lambda: Params(0.5, 0.5))
 
     def __post_init__(self):
-        if not (isinstance(self.eta, numbers.Real) and math.isfinite(self.eta)
-                and self.eta > 0):
-            raise ValueError(f"eta must be a finite real number > 0, got {self.eta!r}")
-        if not (isinstance(self.epochs, numbers.Integral) and not isinstance(self.epochs, bool)
-                and self.epochs >= 1):
-            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
+        _checked("eta", self.eta, "a finite real number > 0", gt=0)
+        _checked("epochs", self.epochs, "an integer >= 1", ge=1, integer=True)
 
 
 def _tanh_terms(w, b, x, y):

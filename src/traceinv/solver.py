@@ -28,8 +28,6 @@ permutation.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,7 +35,7 @@ from scipy.optimize import least_squares, leastsq, linear_sum_assignment
 
 from .model import Dataset, Params, TrainConfig, _tanh_terms, train
 from .system import InsufficientTraceError, ReconstructionProblem, jacobian, pack, residuals, unpack
-from .trace import _fields_equal
+from .trace import _checked, _fields_equal
 
 
 class DegenerateTraceError(ValueError):
@@ -49,25 +47,19 @@ class DegenerateTraceError(ValueError):
 class SolverConfig:
     """Tolerances and multi-start policy for ``solve``.
 
-    ``residual_tolerance`` is on the max-norm of the residual vector; a
-    result counts as converged only below it.  ``step_tolerance`` is the
-    solver's relative step tolerance (MINPACK ``xtol``), and
-    ``max_iterations`` caps each start at ``2 * max_iterations`` residual
-    evaluations.  Start points: ``initial_guess`` (finite) if given, else
-    (x_0=0.5, all else 0); the remaining ``multistart_count - 1`` starts
-    draw x uniformly from [0, 1] and y uniformly from [-0.9, 0.9] from a
-    generator seeded with ``seed`` on its first draw.  The three integer
-    fields must be integers (``numbers.Integral``, so numpy integers
-    too, but not ``bool``) in range: ``max_iterations`` in 1..2**30 - 1,
-    since twice it is MINPACK's C-int ``maxfev``, ``multistart_count >=
-    1`` and ``seed >= 0``; anything else raises ``ValueError`` naming the
-    field.  The two tolerances must be real numbers (``numbers.Real``)
-    above 0, else ``ValueError``.
-    ``box_bounds = (lo, hi)``, with lo < hi, keeps every iterate inside
-    the box; starts are clipped into it.  Configs compare by value,
-    arrays (``initial_guess``, array ``box_bounds``) elementwise, and
-    hash by the six scalar fields alone, so equal configs hash equal
-    and hashing never fails on an array field.
+    Ranges, each checked on construction (``ValueError`` naming the
+    field otherwise): ``max_iterations`` an integer in 1..2**30 - 1 (a
+    start stops after ``2 * max_iterations`` residual evaluations,
+    MINPACK's C-int ``maxfev``); ``residual_tolerance`` (on the residual
+    max-norm; converged only below it) and ``step_tolerance`` (MINPACK
+    ``xtol``) finite and > 0; ``multistart_count`` an integer >= 1;
+    ``seed`` an integer >= 0; ``initial_guess`` None or finite numbers;
+    ``box_bounds`` None or a pair ``(lo, hi)`` of numbers or arrays with
+    lo < hi.  The first start is ``initial_guess``, else (x_0=0.5, all
+    else 0); the other ``multistart_count - 1`` draw x from [0, 1] and y
+    from [-0.9, 0.9] with ``default_rng(seed)``; every start is clipped
+    into the box, which holds every iterate.  Configs compare by value,
+    arrays elementwise, and hash by the six scalar fields alone.
     """
 
     max_iterations: int = 200
@@ -80,24 +72,29 @@ class SolverConfig:
     initial_guess: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, lo, hi, rule in (
-            ("max_iterations", 1, 2**30 - 1, "in 1..1073741823 (2x is MINPACK's C-int maxfev)"),
-            ("multistart_count", 1, math.inf, ">= 1"),
-            ("seed", 0, math.inf, ">= 0"),
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-                    and lo <= value <= hi):
-                raise ValueError(f"{name} must be an integer {rule}, got {value!r}")
-        for name in ("residual_tolerance", "step_tolerance"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):  # also rejects NaN
-                raise ValueError(f"{name} must be a number > 0, got {value!r}")
-        if self.initial_guess is not None and not np.isfinite(self.initial_guess).all():
-            raise ValueError("initial_guess must be finite")
+        _checked("max_iterations", self.max_iterations,
+                 "an integer in 1..1073741823 (2x is MINPACK's C-int maxfev)",
+                 ge=1, le=2**30 - 1, integer=True)
+        _checked("residual_tolerance", self.residual_tolerance, "a finite number > 0", gt=0)
+        _checked("step_tolerance", self.step_tolerance, "a finite number > 0", gt=0)
+        _checked("multistart_count", self.multistart_count, "an integer >= 1", ge=1, integer=True)
+        _checked("seed", self.seed, "an integer >= 0", ge=0, integer=True)
+        if self.initial_guess is not None:
+            try:
+                finite = np.isfinite(np.asarray(self.initial_guess, dtype=float)).all()
+            except (TypeError, ValueError):  # not numbers
+                finite = False
+            if not finite:
+                raise ValueError(f"initial_guess must be finite, got {self.initial_guess!r}")
         if self.box_bounds is not None:
-            lo, hi = self.box_bounds
-            if not np.all(np.asarray(lo) < np.asarray(hi)):
+            try:
+                lo, hi = (np.asarray(bound, dtype=float) for bound in self.box_bounds)
+                ordered = np.all(lo < hi)
+            except (TypeError, ValueError):  # not a pair of numbers or of broadcastable arrays
+                raise ValueError(
+                    f"box_bounds must be a pair (lo, hi), got {self.box_bounds!r}"
+                ) from None
+            if not ordered:
                 raise ValueError(f"box_bounds must have lo < hi, got ({lo}, {hi})")
 
     __eq__ = _fields_equal
@@ -316,10 +313,9 @@ def verify_reconstruction(trace, recovered, threshold=1e-8):
 
     This is the ground-truth-free success check: a correct reconstruction
     (up to pair permutation) reproduces the observed trace exactly.
-    ``threshold`` must be >= 0.
+    ``threshold`` must be finite and >= 0.
     """
-    if not threshold >= 0:  # also rejects NaN
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    _checked("threshold", threshold, ">= 0 and finite", ge=0)
     if recovered.n != trace.n:
         raise ValueError(
             f"dataset size {recovered.n} does not match trace metadata n={trace.n}"

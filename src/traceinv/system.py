@@ -29,13 +29,12 @@ have a unique (or any) solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import _tanh_terms
-from .trace import ParamTrace
+from .trace import ParamTrace, _checked
 
 
 class InsufficientTraceError(ValueError):
@@ -151,7 +150,8 @@ class NetworkShape:
     """Fully connected network with ``layers`` layers of ``width`` nodes,
     trained on ``instances`` instances with ``epochs`` observed parameter
     updates, one per epoch transition: a trace that records E epochs
-    shows E - 1 updates."""
+    shows E - 1 updates.  Each field is an integer, ``layers`` >= 2 and
+    the others >= 1."""
 
     width: int
     layers: int
@@ -159,14 +159,10 @@ class NetworkShape:
     epochs: int
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.layers < 2:
-            raise ValueError(f"layers must be >= 2 (input and output), got {self.layers}")
-        if self.instances < 1:
-            raise ValueError(f"instances must be >= 1, got {self.instances}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        _checked("width", self.width, ">= 1", ge=1, integer=True)
+        _checked("layers", self.layers, ">= 2 (input and output)", ge=2, integer=True)
+        _checked("instances", self.instances, ">= 1", ge=1, integer=True)
+        _checked("epochs", self.epochs, ">= 1", ge=1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -202,5 +198,5 @@ def feasibility(shape):
         unknowns=unknowns,
         equations=equations,
         feasible=equations >= unknowns,
-        min_epochs=math.ceil(unknowns / per_epoch),
+        min_epochs=-(-unknowns // per_epoch),  # exact ceiling for any int
     )

@@ -9,6 +9,7 @@ values in the test suite were frozen.
 from __future__ import annotations
 
 from .model import Dataset, Params, TrainConfig, train
+from .trace import _checked
 
 DEMO_XS = (0.6, 0.2, 0.1, 0.9)
 DEMO_YS = (0.5, 0.4, 0.3, 0.6)
@@ -18,8 +19,7 @@ DEMO_CONFIG = TrainConfig(eta=0.1, epochs=5, init=Params(0.5, 0.5))
 
 def demo_dataset(n):
     """First n instances of the built-in demo data (1 <= n <= 4)."""
-    if not 1 <= n <= len(DEMO_XS):
-        raise ValueError(f"n must be between 1 and {len(DEMO_XS)}")
+    _checked("n", n, f"between 1 and {len(DEMO_XS)}", ge=1, le=len(DEMO_XS), integer=True)
     return Dataset(DEMO_XS[:n], DEMO_YS[:n])
 
 

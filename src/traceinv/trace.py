@@ -52,6 +52,8 @@ The debug block is optional; when present it covers every epoch.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -104,6 +106,33 @@ def _fields_equal(self, other):
                for f in fields(self) if f.compare)
 
 
+# the ABCs alone accept the same values; int and float first skip their slower lookup
+_INTEGRAL = (int, numbers.Integral)
+_REAL = (float, int, numbers.Real)
+
+
+def _checked(name, value, expected, ge=-math.inf, le=math.inf, gt=None, integer=False,
+             rule=None):
+    """The one check of every numeric field: ``value`` unchanged if it is
+    an integer (``numbers.Integral``) when ``integer``, else a finite real
+    number (``numbers.Real``), never ``bool``, with ``ge <= value <= le``
+    and, given ``gt``, ``value > gt``.  Otherwise raises ``ValueError``
+    "<name> must be <expected>, got <value!r>", a ``TraceValidationError``
+    with ``rule`` when one is given.  The default bounds are infinite
+    floats, so an ``np.float32`` compares without a cast overflow."""
+    try:
+        ok = (isinstance(value, _INTEGRAL if integer else _REAL)
+              and not isinstance(value, bool)
+              and (integer or math.isfinite(value))
+              and ge <= value <= le and (gt is None or value > gt))
+    except OverflowError:  # math.isfinite of an int beyond float64's range
+        ok = False
+    if ok:
+        return value
+    message = f"{name} must be {expected}, got {value!r}"
+    raise ValueError(message) if rule is None else TraceValidationError(message, rule)
+
+
 @dataclass
 class Dataset:
     """Paired input/label vectors; the secret the attack tries to recover."""
@@ -148,13 +177,14 @@ class TraceDebug:
 
 @dataclass
 class ParamTrace:
-    """Observed per-epoch parameters plus the public metadata eta and n.
+    """Observed per-epoch parameters plus the public metadata ``eta``
+    (finite, > 0) and ``n`` (an integer >= 1).
 
-    Epoch ``j`` of ``ws``/``bs`` holds the parameter values used in that
-    epoch's forward pass, i.e. the values before the j-th update.
-    ``precision`` is the number of significant digits (>= 1) the values
-    were observed with, or None when they are exact; it does not take
-    part in equality.
+    Epoch ``j`` of ``ws``/``bs`` (finite, equal lengths >= 1) holds the
+    parameter values used in that epoch's forward pass, i.e. the values
+    before the j-th update.  ``precision`` is None for exact values, or
+    the integer >= 1 of significant digits they were observed with; it
+    does not take part in equality.
     """
 
     eta: float
@@ -165,18 +195,10 @@ class ParamTrace:
     precision: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        self.eta = float(self.eta)
-        self.n = int(self.n)
+        self.eta = float(_checked("eta", self.eta, "finite and > 0", gt=0, rule="eta-positive"))
+        self.n = int(_checked("n", self.n, ">= 1", ge=1, integer=True, rule="n-positive"))
         self.ws = np.asarray(self.ws, dtype=float)
         self.bs = np.asarray(self.bs, dtype=float)
-        if not np.isfinite(self.eta) or self.eta <= 0:
-            raise TraceValidationError(
-                f"eta must be finite and > 0, got {self.eta}", rule="eta-positive"
-            )
-        if self.n < 1:
-            raise TraceValidationError(
-                f"n must be >= 1, got {self.n}", rule="n-positive"
-            )
         if self.ws.ndim != 1 or self.bs.ndim != 1 or len(self.ws) != len(self.bs):
             raise TraceValidationError(
                 "ws and bs must be 1-d arrays of equal length", rule="epoch-count"
@@ -190,12 +212,8 @@ class ParamTrace:
                 "parameter values must be finite", rule="finite-values"
             )
         if self.precision is not None:
-            self.precision = int(self.precision)
-            if self.precision < 1:
-                raise TraceValidationError(
-                    f"precision must be None or >= 1, got {self.precision}",
-                    rule="precision-positive",
-                )
+            self.precision = int(_checked("precision", self.precision, "None or >= 1", ge=1,
+                                          integer=True, rule="precision-positive"))
         if self.debug is not None:
             if self.debug.yhat.shape != (self.epochs, self.n) or self.debug.loss.shape != (
                 self.epochs,
@@ -220,8 +238,7 @@ class ParamTrace:
     def truncated(self, epochs):
         """Return the prefix of this trace with the first ``epochs`` entries;
         every other field carries over."""
-        if not 1 <= epochs <= self.epochs:
-            raise ValueError(f"epochs must be in 1..{self.epochs}, got {epochs}")
+        _checked("epochs", epochs, f"in 1..{self.epochs}", ge=1, le=self.epochs, integer=True)
         debug = None
         if self.debug is not None:
             debug = TraceDebug(self.debug.yhat[:epochs].copy(), self.debug.loss[:epochs].copy())
@@ -237,8 +254,7 @@ def format_float(value, digits=None):
     significant digits."""
     if digits is None:
         return repr(float(value))
-    if not digits >= 1:
-        raise ValueError(f"digits must be None or >= 1, got {digits}")
+    _checked("digits", digits, "None or >= 1", ge=1, integer=True)
     return f"{float(value):.{int(digits)}g}"
 
 

@@ -223,7 +223,12 @@ def test_reconstruct_input_errors(tmp_path, capsys):
     assert run("reconstruct", str(tpath), "--box-bounds", "1", "-1") == 2
     assert run("reconstruct", str(tpath), "--box-bounds", "0.5", "0.5") == 2
     for flag in ("--residual-tolerance", "--step-tolerance"):
-        assert run("reconstruct", str(tpath), flag, "nan") == 2
+        for value in ("nan", "inf"):
+            assert run("reconstruct", str(tpath), flag, value) == 2
+    # n/(2 eta) overflows converting a 400-digit n to a float
+    bad.write_text(f"traceinv-trace 1\neta 0.1\nn {10**400}\nepochs 2\n"
+                   "epoch 0 0.5 0.5\nepoch 1 0.4 0.4\n")
+    assert run("reconstruct", str(bad)) == 2
     # n/(2 eta) * (w_0 - w_1) overflows to inf
     huge = tmp_path / "huge.trace"
     huge.write_text(
@@ -327,7 +332,7 @@ def test_verify_threshold_flag(tmp_path, capsys):
     exact = tmp_path / "exact.dataset"
     save_dataset(Dataset([0.6], [0.5]), exact)
     assert run("verify", str(tpath), str(exact)) == 0
-    for threshold in ("nan", "-1"):
+    for threshold in ("nan", "-1", "inf"):
         assert run("verify", str(tpath), str(exact), "--threshold", threshold) == 2
     assert "threshold must be >= 0" in capsys.readouterr().err
 
@@ -377,6 +382,10 @@ def test_feasibility_bad_shape(capsys):
     assert run("feasibility", "--width", "1", "--layers", "1",
                "--instances", "1", "--epochs", "1") == 2
     capsys.readouterr()
+    # instances/width is too large for a float
+    assert run("feasibility", "--width", "3", "--layers", "2",
+               "--instances", str(10**400), "--epochs", "1") == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # --- argparse plumbing ------------------------------------------------------

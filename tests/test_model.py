@@ -247,14 +247,16 @@ def test_stationary_dataset_leaves_parameters_unchanged():
 
 
 def test_train_config_rejects_bad_values():
-    for eta in (0.0, -0.1, math.inf, math.nan, np.array([0.1]), "0.1", None):
+    # a Python int beyond float64's range is no finite real number either
+    for eta in (0.0, -0.1, math.inf, math.nan, np.array([0.1]), "0.1", None, True, 10**400):
         with pytest.raises(ValueError, match="^eta must be a finite real number > 0"):
             TrainConfig(eta=eta, epochs=5)
     for epochs in (0, -3, 2.5, 3.0, True, np.array([3]), "3"):
         with pytest.raises(ValueError, match="^epochs must be an integer >= 1"):
             TrainConfig(eta=0.1, epochs=epochs)
     for w, b, name in ((np.array([0.5]), 0.5, "w"), (0.5, math.nan, "b"), (0.5, -math.inf, "b"),
-                       (math.inf, 0.5, "w"), ("0.5", 0.5, "w"), (0.5, None, "b")):
+                       (math.inf, 0.5, "w"), ("0.5", 0.5, "w"), (0.5, None, "b"),
+                       (10**400, 0.5, "w"), (0.5, -10**400, "b"), (True, 0.5, "w")):
         with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
             Params(w, b)
     # numpy scalars and Python ints are numbers too, and train steps in float64
@@ -282,9 +284,10 @@ def test_dataset_validation():
         Dataset([0.1], [float("nan")])
     with pytest.raises(ValueError, match="1-d"):
         Dataset([[0.1, 0.2]], [0.3, 0.4])
-    for n in (0, 5):  # the built-in demo data has 4 instances
+    for n in (0, 5, 2.5, True, "3", np.array([3])):  # the built-in demo data has 4 instances
         with pytest.raises(ValueError, match="between 1 and 4"):
             demo_dataset(n)
+    assert demo_dataset(np.int64(2)) == demo_dataset(2)
     data = Dataset([0.1, 0.2], [0.3, 0.4])
     assert data.n == 2
     assert data == Dataset([0.1, 0.2], [0.3, 0.4])

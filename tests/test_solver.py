@@ -275,9 +275,10 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(residual_tolerance=0.0)
     for name in ("residual_tolerance", "step_tolerance"):
-        for value in (float("nan"), np.array([1e-10])):
+        for value in (float("nan"), np.array([1e-10]), np.inf, 10**400, True):
             with pytest.raises(ValueError, match=name):
                 SolverConfig(**{name: value})
+        assert getattr(SolverConfig(**{name: np.float32(1e-6)}), name) == np.float32(1e-6)
     with pytest.raises(ValueError):
         SolverConfig(multistart_count=0)
     # the integer fields take integers only, numpy's included
@@ -293,11 +294,14 @@ def test_solver_config_validation():
     for seed in (-1, 0.5, None):
         with pytest.raises(ValueError, match="seed"):
             SolverConfig(seed=seed)
-    for guess in ([np.inf, 0.5, 0.1, 0.1], [0.0, np.nan]):
+    for guess in ([np.inf, 0.5, 0.1, 0.1], [0.0, np.nan], ["a", "b"]):
         with pytest.raises(ValueError, match="initial_guess"):
             SolverConfig(initial_guess=guess, multistart_count=1)
-    for bounds in ((1.0, -1.0), (0.5, 0.5)):
+    for bounds in ((1.0, -1.0), (0.5, 0.5), (0, None)):
         with pytest.raises(ValueError, match="lo < hi"):
+            SolverConfig(box_bounds=bounds)
+    for bounds in (("a", "b"), (0, 1, 2), 1.0, (np.zeros(2), np.ones(3))):
+        with pytest.raises(ValueError, match="box_bounds must be a pair"):
             SolverConfig(box_bounds=bounds)
 
 

@@ -174,11 +174,11 @@ def test_feasibility_single_neuron_special_case():
 
 
 def test_feasibility_general_formula(rng):
-    for _ in range(20):
-        ell = int(rng.integers(1, 12))
-        layers = int(rng.integers(2, 9))
-        instances = int(rng.integers(1, 200))
-        epochs = int(rng.integers(1, 100))
+    shapes = [(int(rng.integers(1, 12)), int(rng.integers(2, 9)), int(rng.integers(1, 200)),
+               int(rng.integers(1, 100))) for _ in range(20)]
+    # beyond 2**53 a float ceiling of unknowns / per_epoch gives 2**59
+    shapes.append((3, 2, 2**60 + 1, 1))
+    for ell, layers, instances, epochs in shapes:
         rep = feasibility(NetworkShape(ell, layers, instances, epochs))
         unknowns = ell * layers * instances
         per_epoch = ell * (ell + 1) * (layers - 1)
@@ -225,3 +225,11 @@ def test_network_shape_validation():
         NetworkShape(width=1, layers=2, instances=0, epochs=1)
     with pytest.raises(ValueError):
         NetworkShape(width=1, layers=2, instances=1, epochs=0)
+    for name in ("width", "layers", "instances", "epochs"):
+        for value in (2.5, True, "3", np.array([3]), np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be >= "):
+                NetworkShape(**{"width": 1, "layers": 2, "instances": 1, "epochs": 1,
+                                name: value})
+    assert feasibility(NetworkShape(np.int64(1), np.int64(2), np.int64(3), 3)).feasible
+    # an integer beyond float64's range counts exactly
+    assert feasibility(NetworkShape(1, 2, 10**400, 1)).min_epochs == 10**400

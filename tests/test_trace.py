@@ -50,9 +50,10 @@ def test_format_float_round_trips(rng):
 def test_format_float_fixed_digits():
     assert format_float(0.4925471634869269, digits=7) == "0.4925472"
     assert format_float(0.5, digits=7) == "0.5"
-    for digits in (0, -1):
-        with pytest.raises(ValueError):
+    for digits in (0, -1, 2.5, True, "3", np.array([3])):
+        with pytest.raises(ValueError, match="digits must be None or >= 1"):
             format_float(0.5, digits=digits)
+    assert format_float(0.4925471634869269, digits=np.int64(3)) == "0.493"
 
 
 def test_round_trip_through_string(rng):
@@ -97,10 +98,10 @@ def test_truncated_prefix_is_a_valid_trace():
     assert head.epochs == 3
     np.testing.assert_array_equal(head.ws, tr.ws[:3])
     assert loads_trace(dumps_trace(head)) == head
-    with pytest.raises(ValueError):
-        tr.truncated(0)
-    with pytest.raises(ValueError):
-        tr.truncated(6)
+    for epochs in (0, 6, 2.5, True, "3", np.array([3])):
+        with pytest.raises(ValueError, match=r"epochs must be in 1\.\.5"):
+            tr.truncated(epochs)
+    assert tr.truncated(np.int64(3)) == head
     # the debug block is cut to the same prefix
     tr = train(data, TrainConfig(eta=0.1, epochs=5), debug=True)
     head = tr.truncated(3)
@@ -368,13 +369,17 @@ def test_validation_rules():
 def test_paramtrace_invariants_checked_on_construction():
     with pytest.raises(TraceValidationError):
         ParamTrace(eta=0.1, n=1, ws=np.array([0.5]), bs=np.array([0.5, 0.4]))
-    with pytest.raises(TraceValidationError):
-        make_trace(0.0, 1, [0.5], [0.5])
-    with pytest.raises(TraceValidationError):
-        make_trace(0.1, 0, [0.5], [0.5])
+    for eta in (0.0, 10**400, -10**400, True, "0.1", np.array([0.1])):
+        with pytest.raises(TraceValidationError, match="eta-positive"):
+            make_trace(eta, 1, [0.5], [0.5])
+    for n in (0, 2.7, True, "3", np.array([1]), np.inf):
+        with pytest.raises(TraceValidationError, match="n-positive"):
+            make_trace(0.1, n, [0.5], [0.5])
+    tr = ParamTrace(eta=np.float32(0.5), n=np.int64(1), ws=[0.5], bs=[0.5], precision=np.int64(7))
+    assert (tr.eta, tr.n, tr.precision) == (0.5, 1, 7)
     with pytest.raises(TraceValidationError):
         make_trace(0.1, 1, [np.nan], [0.5])
-    for precision in (0, -3):
+    for precision in (0, -3, 2.5, True, "7", np.array([7])):
         with pytest.raises(TraceValidationError, match="precision-positive"):
             ParamTrace(eta=0.1, n=1, ws=[0.5], bs=[0.5], precision=precision)
     with pytest.raises(TraceValidationError, match="epoch-count"):
