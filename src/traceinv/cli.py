@@ -96,8 +96,8 @@ def cmd_verify(args):
         report = verify_reconstruction(trace, data, threshold=args.threshold)
     except TrainingDivergedError as exc:
         raise RuntimeError(f"retraining on the recovered dataset diverged: {exc}") from exc
-    rows = enumerate(zip(report.dw.tolist(), report.db.tolist()))
-    print("\n".join(f"epoch {j}  |dw| {dw:.3e}  |db| {db:.3e}" for j, (dw, db) in rows))
+    rows = zip(range(len(report.dw)), report.dw.tolist(), report.db.tolist())
+    print("\n".join(map("epoch %d  |dw| %.3e  |db| %.3e".__mod__, rows)))
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict}: max deviation {report.max_deviation:.3e} "

@@ -12,7 +12,9 @@ records the parameters *before* each update, so epoch j of the trace
 holds the values used in epoch j's forward pass.  With one instance the
 mean of a value is the value itself, so ``train`` steps on Python floats
 through the same kernel, ``_tanh_terms``, and gets the same bits as the
-one-element array path at a fraction of numpy's per-call cost.
+one-element array path at a fraction of numpy's per-call cost: the
+kernel turns the scalar that ``np.tanh`` returns into a Python float, so
+every scalar of a step stays a Python float.
 """
 
 from __future__ import annotations
@@ -67,8 +69,11 @@ class TrainConfig:
 def _tanh_terms(w, b, x, y):
     """T = tanh(w*x + b), S = 1 - T^2 and Z = (T - y) S.  ``w`` and ``b``
     broadcast: scalars give one epoch, columns ``ws[:, None]`` one per row.
-    Python floats give the bits of one-element arrays."""
+    A float64 scalar T is turned into a Python float, so S and Z are
+    Python floats too, with the bits of one-element arrays."""
     T = np.tanh(w * x + b)
+    if type(T) is np.float64:  # same IEEE bits; Python float arithmetic is cheaper
+        T = float(T)
     S = 1.0 - T * T  # T**2 is square() on arrays but pow() on scalars
     return T, S, (T - y) * S
 
@@ -76,7 +81,6 @@ def _tanh_terms(w, b, x, y):
 def _gradient(w, b, xs, ys):
     _, _, Z = _tanh_terms(w, b, xs, ys)
     if isinstance(xs, float):  # one instance: the mean of v is v
-        Z = float(Z)  # np.tanh gave an np.float64; Python floats step faster
         return 2.0 * (xs * Z), 2.0 * Z
     n = len(xs)
     # bitwise np.mean for float64 (add.reduce, then / count) without its wrapper

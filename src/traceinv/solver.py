@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares, leastsq, linear_sum_assignment
 
 from .model import Dataset, Params, TrainConfig, _tanh_terms, train
 from .system import InsufficientTraceError, ReconstructionProblem, jacobian, pack, residuals, unpack
@@ -158,8 +157,14 @@ def _levenberg_marquardt(problem, z0, cfg, bounds):
     call: MINPACK's lmder when ``bounds`` is None, else scipy's dogleg
     method with rectangular trust regions inside ``bounds = (lo, hi)``.
     Returns (z, r, iterations) where iterations counts Jacobian
-    evaluations.
+    evaluations.  scipy is imported here, on the first solve, so that
+    importing the package loads none of it.  Dogbox squares the residual
+    vector, which overflows (then gives inf - inf) once its entries pass
+    about 1e154; those warnings are silenced, so, as lmder does, it
+    returns a start that did not converge.
     """
+    from scipy.optimize import least_squares, leastsq
+
     if bounds is None:
         z, _, info, _, _ = leastsq(
             residuals, z0, args=(problem,), Dfun=jacobian, full_output=True,
@@ -167,11 +172,12 @@ def _levenberg_marquardt(problem, z0, cfg, bounds):
             maxfev=2 * cfg.max_iterations,
         )
         return z, info["fvec"], info["njev"]
-    sol = least_squares(
-        residuals, z0, jac=jacobian, args=(problem,), method="dogbox",
-        bounds=bounds, x_scale="jac", ftol=1e-15, xtol=cfg.step_tolerance, gtol=None,
-        max_nfev=2 * cfg.max_iterations,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = least_squares(
+            residuals, z0, jac=jacobian, args=(problem,), method="dogbox",
+            bounds=bounds, x_scale="jac", ftol=1e-15, xtol=cfg.step_tolerance, gtol=None,
+            max_nfev=2 * cfg.max_iterations,
+        )
     return sol.x, sol.fun, sol.njev
 
 
@@ -303,7 +309,10 @@ def match_solutions(recovered, truth):
 
     Minimizes the summed |dx| + |dy| over pairings via linear assignment
     and reports the largest coordinate error under the chosen pairing.
+    Imports scipy on first use, as ``solve`` does.
     """
+    from scipy.optimize import linear_sum_assignment
+
     if recovered.n != truth.n:
         raise ValueError(
             f"datasets differ in size: {recovered.n} vs {truth.n}"

@@ -47,6 +47,13 @@ records and ``debug-shape`` for ``debug`` records (which also raise it
 unless each holds ``n`` yhat values).  For ``instance`` records a wrong
 number raises ``instance-count`` and a bad index ``instance-contiguous``.
 The debug block is optional; when present it covers every epoch.
+
+The readers convert each column of ``epoch`` and ``instance`` records
+(the index, then w and b, or x and y) and the ``debug`` index and loss
+in one pass, a ``map`` over the column; a token that is not a number
+raises ``TraceParseError`` naming its line, the first bad line of the
+first bad column in that order.  The trace writer renders every epoch
+row through one ``%`` template, which ``format_float`` shares.
 """
 
 from __future__ import annotations
@@ -249,13 +256,20 @@ class ParamTrace:
     __eq__ = _fields_equal
 
 
+def _float_spec(digits):
+    """The ``%`` conversion of one float at ``digits``, the one rendering
+    rule: ``%r`` (shortest round trip) for None, else ``%.<digits>g`` for
+    an integer ``digits`` >= 1, checked here."""
+    if digits is None:
+        return "%r"
+    _checked("digits", digits, "None or >= 1", ge=1, integer=True)
+    return f"%.{int(digits)}g"
+
+
 def format_float(value, digits=None):
     """Render a float losslessly (default) or with ``digits`` >= 1
     significant digits."""
-    if digits is None:
-        return repr(float(value))
-    _checked("digits", digits, "None or >= 1", ge=1, integer=True)
-    return f"{float(value):.{int(digits)}g}"
+    return _float_spec(digits) % float(value)
 
 
 def _write_records(destination, magic, lines):
@@ -276,19 +290,18 @@ def save_trace(trace, destination, digits=None):
     >= 1 keeps only that many significant digits (e.g. ``digits=7``
     mimics a low-precision observer).
     """
+    spec = _float_spec(digits)  # digits is checked once, not once per value
+    rows = zip(range(trace.epochs), trace.ws.tolist(), trace.bs.tolist())
     lines = [
-        f"eta {format_float(trace.eta, digits)}",
+        "eta " + spec % float(trace.eta),
         f"n {trace.n}",
         f"epochs {trace.epochs}",
-    ]
-    lines += [
-        f"epoch {j} {format_float(w, digits)} {format_float(b, digits)}"
-        for j, (w, b) in enumerate(zip(trace.ws.tolist(), trace.bs.tolist()))
+        *map(f"epoch %d {spec} {spec}".__mod__, rows),
     ]
     if trace.debug is not None:
-        for j in range(trace.epochs):
-            yhat = " ".join(format_float(v, digits) for v in trace.debug.yhat[j])
-            lines.append(f"debug {j} {format_float(trace.debug.loss[j], digits)} {yhat}")
+        template = "debug %d" + f" {spec}" * (1 + trace.debug.yhat.shape[1])
+        rows = zip(range(trace.epochs), trace.debug.loss.tolist(), trace.debug.yhat.tolist())
+        lines += [template % (j, loss, *yhat) for j, loss, yhat in rows]
     _write_records(destination, MAGIC, lines)
 
 
@@ -337,8 +350,9 @@ def iter_records(source, *magics):
             text = fh.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = enumerate(map(str.strip, text.splitlines()), start=1)
-    records = [(lineno, line.split()) for lineno, line in lines if line and line[0] != "#"]
+    lines = enumerate(map(str.split, text.splitlines()), start=1)
+    records = [(lineno, tokens) for lineno, tokens in lines
+               if tokens and tokens[0][0] != "#"]
     if not records:
         raise TraceParseError("empty file, missing header line")
     lineno, header = records[0]
@@ -358,6 +372,20 @@ def _number(kind, token, lineno):
         return kind(token)
     except ValueError:
         raise TraceParseError(f"not a valid {kind.__name__}: {token!r}", line=lineno) from None
+
+
+def _numbers(kind, rows, column):
+    """``kind(tokens[column])`` of every ``(line_number, tokens)`` row,
+    as a list, converted in one ``map`` over the column.  Only after a
+    failure is the column converted again token by token through
+    ``_number``, so the error names the first bad line."""
+    tokens = [t[column] for _, t in rows]
+    try:
+        return list(map(kind, tokens))
+    except ValueError:
+        for (lineno, _), token in zip(rows, tokens):
+            _number(kind, token, lineno)
+        raise
 
 
 def _parse(records, fields, rows, ignore=()):
@@ -420,18 +448,21 @@ def _indexed(rows, key, count, rule, count_rule=None):
 
     ``rows`` is the row map that ``_parse`` returns.  Each row's
     ``tokens[1]`` is its index, and the indices must be 0..count-1, each
-    once, in any order; one loop places every row at its index, rows in
-    file order included.  A number of rows other than ``count`` raises
-    ``count_rule`` (default ``rule``); an index out of range or repeated
-    raises ``rule``.  The count is checked first, so a huge declared
-    count allocates nothing.
+    once, in any order; rows already in file order are returned as they
+    are, and one loop places the rows of any other order at their
+    indices.  A number of rows other than ``count`` raises ``count_rule``
+    (default ``rule``); an index out of range or repeated raises
+    ``rule``.  The count is checked first, so a huge declared count
+    allocates nothing.
     """
     found = rows[key]
     if len(found) != count:
         raise TraceValidationError(
             f"expected {count} '{key}' records, found {len(found)}", rule=count_rule or rule
         )
-    indices = [_number(int, t[1], ln) for ln, t in found]
+    indices = _numbers(int, found, 1)
+    if indices == list(range(count)):
+        return found
     ordered = [None] * count
     for j, row in zip(indices, found):
         if not 0 <= j < count or ordered[j] is not None:
@@ -462,8 +493,8 @@ def load_trace(source):
             f"epochs must be >= 1, got {epochs}", rule="epochs-positive"
         )
     epoch_rows = _indexed(rows, "epoch", epochs, "epoch-contiguous")
-    ws = np.array([_number(float, t[2], ln) for ln, t in epoch_rows])
-    bs = np.array([_number(float, t[3], ln) for ln, t in epoch_rows])
+    ws = np.array(_numbers(float, epoch_rows, 2))
+    bs = np.array(_numbers(float, epoch_rows, 3))
 
     debug = None
     if rows["debug"]:
@@ -474,7 +505,7 @@ def load_trace(source):
             )
         debug = TraceDebug(
             yhat=np.array([[_number(float, v, ln) for v in t[3:]] for ln, t in debug_rows]),
-            loss=np.array([_number(float, t[2], ln) for ln, t in debug_rows]),
+            loss=np.array(_numbers(float, debug_rows, 2)),
         )
 
     return ParamTrace(
@@ -499,10 +530,7 @@ def load_dataset(source):
     instance_rows = _indexed(
         rows, "instance", fields["n"], "instance-contiguous", count_rule="instance-count"
     )
-    return Dataset(
-        [_number(float, t[2], ln) for ln, t in instance_rows],
-        [_number(float, t[3], ln) for ln, t in instance_rows],
-    )
+    return Dataset(_numbers(float, instance_rows, 2), _numbers(float, instance_rows, 3))
 
 
 def dumps_trace(trace, digits=None):

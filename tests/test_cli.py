@@ -446,6 +446,20 @@ def test_module_entry_point_runs():
     assert "demo dataset n=1" in proc.stdout
 
 
+def test_import_loads_no_scipy():
+    # scipy is imported by the first solve or match_solutions, not by the package
+    code = "import sys, traceinv, traceinv.cli; print('scipy.optimize' in sys.modules)"
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_readme_quickstart_runs(tmp_path):
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text(encoding="utf-8")

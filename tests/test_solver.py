@@ -247,6 +247,15 @@ def test_box_bounds_clip_the_iterates(rng):
         assert np.all((z >= 0.6) & (z <= 0.95))
         assert res.converged and res.starts_tried == 1
         assert match_solutions(res.recovered, secret).max_abs_error < 1e-6
+    # right-hand sides near 1e238: dogbox's squared residual overflows, and
+    # like lmder it returns a start that did not converge, without a warning
+    huge = ReconstructionProblem(make_trace(10.0, 1, [-1.3e238, -2.5e237, 4.2e237, 1.1e238],
+                                            [1.1e-18] * 4))
+    for box in (None, (-1.0, 1.0)):
+        res = solve(huge, SolverConfig(box_bounds=box))
+        assert not res.converged and res.residual_norm == pytest.approx(5.25e236)
+        z = pack(res.recovered.xs, res.recovered.ys)
+        assert np.all((z >= -1.0) & (z <= 1.0))
 
 
 def test_start_points_sequence(monkeypatch):

@@ -56,6 +56,29 @@ def test_format_float_fixed_digits():
     assert format_float(0.4925471634869269, digits=np.int64(3)) == "0.493"
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310, -7.3e-320,
+               1e-300, -1.2345678901234567e-300, 9.999999999999999e299, 1e300,
+               -1.7976931348623157e308, 1.0, -0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("digits", [None, 1, 7, 17, np.int64(5)])
+def test_dumps_trace_renders_each_value_with_format_float(digits):
+    # the writer's row template gives the bytes of per-value format_float
+    ws = np.array(EDGE_VALUES)
+    bs = ws[::-1].copy()
+    yhat = np.stack([bs, ws], axis=1)
+    trace = ParamTrace(eta=0.1, n=2, ws=ws, bs=bs, debug=TraceDebug(yhat, ws))
+    lines = ["traceinv-trace 1", f"eta {format_float(0.1, digits)}", "n 2",
+             f"epochs {len(ws)}"]
+    lines += [f"epoch {j} {format_float(w, digits)} {format_float(b, digits)}"
+              for j, (w, b) in enumerate(zip(ws, bs))]
+    lines += [f"debug {j} {format_float(w, digits)} {format_float(b, digits)} "
+              f"{format_float(w, digits)}" for j, (w, b) in enumerate(zip(ws, bs))]
+    assert dumps_trace(trace, digits=digits) == "\n".join(lines) + "\n"
+    if digits is None:
+        assert loads_trace(dumps_trace(trace)) == trace
+
+
 def test_round_trip_through_string(rng):
     for _ in range(50):
         tr = random_trace(rng, with_debug=bool(rng.integers(0, 2)))
@@ -252,6 +275,28 @@ def test_parse_errors_name_the_line():
         with pytest.raises(TraceParseError, match="record needs") as excinfo:
             load(io.StringIO(text))
         assert excinfo.value.line == line
+    # late bad tokens in a long trace: the index column is converted first,
+    # then w, then b, each naming its first bad line even when a later
+    # column's bad token sits on an earlier line
+    rows = [["epoch", str(j), "0.5", "0.25"] for j in range(600)]
+    bad = [(590, 1, "5x9"), (570, 2, "0.5.1"), (550, 3, "nan?")]  # (epoch, column, token)
+    for row, column, token in bad:
+        rows[row][column] = token
+
+    def long_trace():
+        return HEADER + "eta 0.1\nn 1\nepochs 600\n" + "".join(" ".join(r) + "\n" for r in rows)
+
+    for row, column, token in bad:
+        with pytest.raises(TraceParseError, match="not a valid") as excinfo:
+            loads_trace(long_trace())
+        assert excinfo.value.line == row + 5  # the header and three fields come first
+        assert repr(token) in str(excinfo.value)
+        rows[row][column] = str(row) if column == 1 else "0.5"
+    assert loads_trace(long_trace()).epochs == 600
+    rows = [f"instance {i} 0.5 {'0.2y' if i == 3 else '0.25'}" for i in range(5)]
+    with pytest.raises(TraceParseError) as excinfo:
+        load_dataset(io.StringIO("traceinv-dataset 1\nn 5\n" + "\n".join(rows) + "\n"))
+    assert excinfo.value.line == 6
 
 
 def test_bad_headers():
