@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trace import Dataset, ParamTrace, TraceDebug, _checked  # Dataset: train's input, re-exported
+# Dataset: train's input, re-exported
+from .trace import Dataset, ParamTrace, TraceDebug, _checked, _checked_array
 
 # training aborts once |w| or |b| leaves this range
 DIVERGENCE_LIMIT = 1e6
@@ -88,23 +89,24 @@ def _gradient(w, b, xs, ys):
 
 
 def forward(params, xs):
-    """Network outputs tanh(w*x + b) for a vector of inputs.
+    """Network outputs tanh(w*x + b) for a non-empty vector (or a scalar)
+    of finite real inputs; ``ValueError`` naming ``xs`` otherwise.
 
     Outputs lie in (-1, 1); note that in floating point tanh saturates to
     exactly +-1.0 once |w*x + b| exceeds about 19.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = np.atleast_1d(_checked_array("xs", xs))
     if len(xs) == 0:
         raise ValueError("input vector must be non-empty")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("inputs must be finite")
     return _tanh_terms(params.w, params.b, xs, 0.0)[0]
 
 
 def mse(yhat, ys):
-    """Mean squared error between computed and real labels."""
-    yhat = np.atleast_1d(np.asarray(yhat, dtype=float))
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    """Mean squared error between computed and real labels, two
+    non-empty vectors (or scalars) of finite real numbers with equal
+    lengths; ``ValueError`` naming the field otherwise."""
+    yhat = np.atleast_1d(_checked_array("yhat", yhat))
+    ys = np.atleast_1d(_checked_array("ys", ys))
     if len(yhat) != len(ys):
         raise ValueError(
             f"length mismatch: yhat has {len(yhat)}, ys has {len(ys)}"

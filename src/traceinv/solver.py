@@ -30,13 +30,13 @@ permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .model import Dataset, Params, TrainConfig, _tanh_terms, train
 from .system import InsufficientTraceError, ReconstructionProblem, jacobian, pack, residuals, unpack
-from .trace import _checked, _fields_equal
+from .trace import _checked, _checked_array, _fields_equal
 
 
 class DegenerateTraceError(ValueError):
@@ -54,14 +54,17 @@ class SolverConfig:
     MINPACK's C-int ``maxfev``); ``residual_tolerance`` (on the residual
     max-norm; converged only below it) and ``step_tolerance`` (MINPACK
     ``xtol``) finite and > 0; ``multistart_count`` an integer >= 1;
-    ``seed`` an integer >= 0; ``initial_guess`` None or finite numbers;
-    ``box_bounds`` None or a pair ``(lo, hi)`` of numbers or arrays with
-    lo < hi.  The first start is ``initial_guess``, else at n=1 the
-    closed form where it is defined, else (x_0=0.5, all else 0); the
-    other ``multistart_count - 1`` draw x from [0, 1] and y from
-    [-0.9, 0.9] with ``default_rng(seed)``; every start is clipped into
-    the box, which holds every iterate.  Configs compare by value,
-    arrays elementwise, and hash by the six scalar fields alone.
+    ``seed`` an integer >= 0; ``initial_guess`` None or an array of
+    finite real numbers; ``box_bounds`` None or a pair ``(lo, hi)`` of
+    real numbers or arrays with lo < hi, where an infinite bound leaves
+    that side open and NaN is rejected.  Arrays pass numpy's integer or
+    float dtypes only, never bool, str or complex.  The first start is
+    ``initial_guess``, else at n=1 the closed form where it is defined,
+    else (x_0=0.5, all else 0); the other ``multistart_count - 1`` draw
+    x from [0, 1] and y from [-0.9, 0.9] with ``default_rng(seed)``;
+    every start is clipped into the box, which holds every iterate.
+    Configs compare by value, arrays elementwise, and hash by the six
+    scalar fields alone.
     """
 
     max_iterations: int = 200
@@ -69,9 +72,9 @@ class SolverConfig:
     step_tolerance: float = 1e-12
     multistart_count: int = 16
     seed: int = 0
-    box_bounds: tuple | None = None
+    box_bounds: tuple | None = field(default=None, hash=False)
     allow_underdetermined: bool = False
-    initial_guess: np.ndarray | None = None
+    initial_guess: np.ndarray | None = field(default=None, hash=False)
 
     def __post_init__(self):
         _checked("max_iterations", self.max_iterations,
@@ -82,28 +85,21 @@ class SolverConfig:
         _checked("multistart_count", self.multistart_count, "an integer >= 1", ge=1, integer=True)
         _checked("seed", self.seed, "an integer >= 0", ge=0, integer=True)
         if self.initial_guess is not None:
-            try:
-                finite = np.isfinite(np.asarray(self.initial_guess, dtype=float)).all()
-            except (TypeError, ValueError):  # not numbers
-                finite = False
-            if not finite:
-                raise ValueError(f"initial_guess must be finite, got {self.initial_guess!r}")
+            _checked_array("initial_guess", self.initial_guess)
         if self.box_bounds is not None:
-            try:
-                lo, hi = (np.asarray(bound, dtype=float) for bound in self.box_bounds)
-                ordered = np.all(lo < hi)
-            except (TypeError, ValueError):  # not a pair of numbers or of broadcastable arrays
+            try:  # an infinite bound leaves that side of the box open
+                lo, hi = self.box_bounds
+                lo = _checked_array("lo", lo, finite=False)
+                hi = _checked_array("hi", hi, finite=False)
+                ordered = (lo < hi).all()
+            except (TypeError, ValueError) as err:  # not a pair of numbers or broadcastable arrays
                 raise ValueError(
-                    f"box_bounds must be a pair (lo, hi), got {self.box_bounds!r}"
+                    f"box_bounds must be a pair (lo, hi) of real numbers or arrays: {err}"
                 ) from None
             if not ordered:
                 raise ValueError(f"box_bounds must have lo < hi, got ({lo}, {hi})")
 
     __eq__ = _fields_equal
-
-    def __hash__(self):
-        return hash((self.max_iterations, self.residual_tolerance, self.step_tolerance,
-                     self.multistart_count, self.seed, self.allow_underdetermined))
 
 
 @dataclass

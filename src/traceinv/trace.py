@@ -140,16 +140,45 @@ def _checked(name, value, expected, ge=-math.inf, le=math.inf, gt=None, integer=
     raise ValueError(message) if rule is None else TraceValidationError(message, rule)
 
 
+def _checked_array(name, value, rule=None, finite=True):
+    """The one check of every numeric array: ``value`` as a float64
+    array (not copied if it is one) when numpy reads it as integers or
+    floats, so never bool, str, complex, object or ragged, and every
+    element finite; with ``finite=False`` infinities pass and only NaN
+    fails.  Otherwise raises ``ValueError`` naming the field and the bad
+    dtype or the first bad element, a ``TraceValidationError`` with
+    ``rule`` when one is given."""
+    expected = "finite real numbers" if finite else "real numbers, not NaN"
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy reads a ragged sequence as no array
+        problem = f"a ragged {type(value).__name__}"
+    else:
+        if array.dtype.kind not in "iuf":
+            problem = f"dtype {array.dtype}"
+        else:
+            array = array.astype(float, copy=False)
+            ok = np.isfinite(array) if finite else ~np.isnan(array)
+            if ok.all():
+                return array
+            i = int(ok.argmin())  # the first bad element, in flat order
+            problem = f"{array.flat[i]} at element {i}"
+    message = f"{name} must be {expected}, got {problem}"
+    raise ValueError(message) if rule is None else TraceValidationError(message, rule)
+
+
 @dataclass
 class Dataset:
-    """Paired input/label vectors; the secret the attack tries to recover."""
+    """Paired input/label vectors of finite real numbers, equal lengths
+    >= 1 (a scalar is one instance); the secret the attack tries to
+    recover."""
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        self.xs = np.atleast_1d(np.asarray(self.xs, dtype=float))
-        self.ys = np.atleast_1d(np.asarray(self.ys, dtype=float))
+        self.xs = np.atleast_1d(_checked_array("xs", self.xs))
+        self.ys = np.atleast_1d(_checked_array("ys", self.ys))
         if self.xs.ndim != 1 or self.ys.ndim != 1:
             raise ValueError("xs and ys must be 1-d")
         if len(self.xs) != len(self.ys):
@@ -158,8 +187,6 @@ class Dataset:
             )
         if len(self.xs) == 0:
             raise ValueError("dataset must contain at least one instance")
-        if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
-            raise ValueError("dataset values must be finite")
 
     @property
     def n(self):
@@ -170,14 +197,16 @@ class Dataset:
 
 @dataclass
 class TraceDebug:
-    """Per-epoch predictions and loss recorded alongside a trace."""
+    """Per-epoch predictions and loss recorded alongside a trace, finite
+    real numbers (``TraceValidationError`` with rule ``finite-values``
+    otherwise)."""
 
     yhat: np.ndarray  # shape (epochs, n)
     loss: np.ndarray  # shape (epochs,)
 
     def __post_init__(self):
-        self.yhat = np.atleast_2d(np.asarray(self.yhat, dtype=float))
-        self.loss = np.asarray(self.loss, dtype=float)
+        self.yhat = np.atleast_2d(_checked_array("yhat", self.yhat, rule="finite-values"))
+        self.loss = _checked_array("loss", self.loss, rule="finite-values")
 
     __eq__ = _fields_equal
 
@@ -187,11 +216,12 @@ class ParamTrace:
     """Observed per-epoch parameters plus the public metadata ``eta``
     (finite, > 0) and ``n`` (an integer >= 1).
 
-    Epoch ``j`` of ``ws``/``bs`` (finite, equal lengths >= 1) holds the
-    parameter values used in that epoch's forward pass, i.e. the values
-    before the j-th update.  ``precision`` is None for exact values, or
-    the integer >= 1 of significant digits they were observed with; it
-    does not take part in equality.
+    Epoch ``j`` of ``ws``/``bs`` (finite real numbers, rule
+    ``finite-values``; equal lengths >= 1) holds the parameter values
+    used in that epoch's forward pass, i.e. the values before the j-th
+    update.  ``precision`` is None for exact values, or the integer in
+    1..17 of significant digits they were observed with (17 digits
+    round-trip any float64); it does not take part in equality.
     """
 
     eta: float
@@ -204,8 +234,8 @@ class ParamTrace:
     def __post_init__(self):
         self.eta = float(_checked("eta", self.eta, "finite and > 0", gt=0, rule="eta-positive"))
         self.n = int(_checked("n", self.n, ">= 1", ge=1, integer=True, rule="n-positive"))
-        self.ws = np.asarray(self.ws, dtype=float)
-        self.bs = np.asarray(self.bs, dtype=float)
+        self.ws = _checked_array("ws", self.ws, rule="finite-values")
+        self.bs = _checked_array("bs", self.bs, rule="finite-values")
         if self.ws.ndim != 1 or self.bs.ndim != 1 or len(self.ws) != len(self.bs):
             raise TraceValidationError(
                 "ws and bs must be 1-d arrays of equal length", rule="epoch-count"
@@ -214,13 +244,9 @@ class ParamTrace:
             raise TraceValidationError(
                 "trace needs at least one epoch", rule="epoch-count"
             )
-        if not (np.all(np.isfinite(self.ws)) and np.all(np.isfinite(self.bs))):
-            raise TraceValidationError(
-                "parameter values must be finite", rule="finite-values"
-            )
         if self.precision is not None:
-            self.precision = int(_checked("precision", self.precision, "None or >= 1", ge=1,
-                                          integer=True, rule="precision-positive"))
+            self.precision = int(_checked("precision", self.precision, "None or in 1..17", ge=1,
+                                          le=17, integer=True, rule="precision-positive"))
         if self.debug is not None:
             if self.debug.yhat.shape != (self.epochs, self.n) or self.debug.loss.shape != (
                 self.epochs,
@@ -229,13 +255,6 @@ class ParamTrace:
                     f"debug block must hold one length-{self.n} yhat vector and one "
                     f"loss per epoch",
                     rule="debug-shape",
-                )
-            if not (
-                np.all(np.isfinite(self.debug.yhat))
-                and np.all(np.isfinite(self.debug.loss))
-            ):
-                raise TraceValidationError(
-                    "debug values must be finite", rule="finite-values"
                 )
 
     @property
@@ -487,11 +506,9 @@ def load_trace(source):
         {"eta": float, "n": int, "epochs": int},
         {"epoch": "epoch <j> <w> <b>", "debug": "debug <j> <loss> <yhat...>"},
     )
-    epochs, n = fields["epochs"], fields["n"]
-    if epochs < 1:
-        raise TraceValidationError(
-            f"epochs must be >= 1, got {epochs}", rule="epochs-positive"
-        )
+    n = fields["n"]
+    epochs = _checked("epochs", fields["epochs"], ">= 1", ge=1, integer=True,
+                      rule="epochs-positive")
     epoch_rows = _indexed(rows, "epoch", epochs, "epoch-contiguous")
     ws = np.array(_numbers(float, epoch_rows, 2))
     bs = np.array(_numbers(float, epoch_rows, 3))

@@ -330,12 +330,16 @@ def test_solver_config_validation():
     for guess in ([np.inf, 0.5, 0.1, 0.1], [0.0, np.nan], ["a", "b"]):
         with pytest.raises(ValueError, match="initial_guess"):
             SolverConfig(initial_guess=guess, multistart_count=1)
-    for bounds in ((1.0, -1.0), (0.5, 0.5), (0, None)):
+    for bounds in ((1.0, -1.0), (0.5, 0.5)):
         with pytest.raises(ValueError, match="lo < hi"):
             SolverConfig(box_bounds=bounds)
-    for bounds in (("a", "b"), (0, 1, 2), 1.0, (np.zeros(2), np.ones(3))):
+    for bounds in (("a", "b"), (0, None), (0, np.nan), (np.zeros(2), [1.0, np.nan]),
+                   (0, 1, 2), 1.0, (np.zeros(2), np.ones(3))):
         with pytest.raises(ValueError, match="box_bounds must be a pair"):
             SolverConfig(box_bounds=bounds)
+    # an infinite bound leaves that side of the box open
+    for bounds in ((-np.inf, np.inf), (0, np.inf), (np.zeros(2), np.full(2, np.inf))):
+        assert SolverConfig(box_bounds=bounds).box_bounds is bounds
 
 
 @pytest.mark.parametrize("name", ["max_iterations", "multistart_count", "seed"])

@@ -8,6 +8,7 @@ import pytest
 
 from traceinv import (
     Dataset,
+    Params,
     ParamTrace,
     SolverConfig,
     TraceDebug,
@@ -16,8 +17,10 @@ from traceinv import (
     TrainConfig,
     VerifyReport,
     dumps_trace,
+    forward,
     load_trace,
     loads_trace,
+    mse,
     save_trace,
     train,
 )
@@ -424,7 +427,7 @@ def test_paramtrace_invariants_checked_on_construction():
     assert (tr.eta, tr.n, tr.precision) == (0.5, 1, 7)
     with pytest.raises(TraceValidationError):
         make_trace(0.1, 1, [np.nan], [0.5])
-    for precision in (0, -3, 2.5, True, "7", np.array([7])):
+    for precision in (0, -3, 18, 10**400, 2.5, True, "7", np.array([7])):
         with pytest.raises(TraceValidationError, match="precision-positive"):
             ParamTrace(eta=0.1, n=1, ws=[0.5], bs=[0.5], precision=precision)
     with pytest.raises(TraceValidationError, match="epoch-count"):
@@ -436,3 +439,63 @@ def test_paramtrace_invariants_checked_on_construction():
     for yhat, loss in (([[np.nan]], [0.3]), ([[0.1]], [np.inf])):
         with pytest.raises(TraceValidationError, match="finite-values"):
             ParamTrace(eta=0.1, n=1, ws=[0.5], bs=[0.5], debug=TraceDebug(yhat, loss))
+
+
+# every owner of a numeric array: the start of its error message, a call
+# that puts a length-1 value there, and the rule of its TraceValidationError
+BOX = r"box_bounds must be a pair \(lo, hi\) of real numbers or arrays: "
+ARRAY_OWNERS = {
+    "Dataset.xs": ("xs", lambda v: Dataset(v, [0.5]).xs, None),
+    "Dataset.ys": ("ys", lambda v: Dataset([0.5], v).ys, None),
+    "ParamTrace.ws": ("ws", lambda v: ParamTrace(0.1, 1, v, [0.5]).ws, "finite-values"),
+    "ParamTrace.bs": ("bs", lambda v: ParamTrace(0.1, 1, [0.5], v).bs, "finite-values"),
+    "TraceDebug.yhat": ("yhat", lambda v: TraceDebug(v, [0.5]).yhat, "finite-values"),
+    "TraceDebug.loss": ("loss", lambda v: TraceDebug([[0.5]], v).loss, "finite-values"),
+    "SolverConfig.initial_guess": ("initial_guess", lambda v: SolverConfig(initial_guess=v), None),
+    "SolverConfig.box_bounds.lo": (BOX + "lo", lambda v: SolverConfig(box_bounds=(v, 2.0)), None),
+    "SolverConfig.box_bounds.hi": (BOX + "hi", lambda v: SolverConfig(box_bounds=(-2.0, v)), None),
+    "forward": ("xs", lambda v: forward(Params(0.5, 0.5), v), None),
+    "mse.yhat": ("yhat", lambda v: mse(v, [0.5]), None),
+    "mse.ys": ("ys", lambda v: mse([0.5], v), None),
+}
+KEEPS_ARRAY = {"Dataset.xs", "Dataset.ys", "ParamTrace.ws", "ParamTrace.bs",
+               "TraceDebug.yhat", "TraceDebug.loss"}
+
+
+@pytest.mark.parametrize("owner", ARRAY_OWNERS)
+def test_every_numeric_array_takes_finite_real_numbers_only(owner):
+    start, call, rule = ARRAY_OWNERS[owner]
+
+    def rejected(value):
+        with pytest.raises(TraceValidationError if rule else ValueError,
+                           match=f"^{start} must be") as excinfo:
+            call(value)
+        assert getattr(excinfo.value, "rule", None) == rule
+        return str(excinfo.value)
+
+    # bool, numeric strings, complex, objects, ragged, NaN; a None guess is no guess
+    for value in ([True], True, ["0.5"], "0.5", [0.5 + 0j], [None], np.array([0.5], object),
+                  [[0.5], [0.5, 0.4]], [10**400], [np.nan]):
+        rejected(value)
+    if owner != "SolverConfig.initial_guess":
+        rejected(None)
+    if owner.startswith("SolverConfig.box_bounds"):  # an infinite bound leaves its side open
+        call([-np.inf] if owner.endswith("lo") else [np.inf])
+    else:
+        rejected([np.inf])
+        rejected([-np.inf])
+    # the message names the first bad element, never the whole array
+    message = rejected([0.5] * 5000 + [np.nan] + [0.5] * 4999)
+    assert "nan at element 5000" in message and len(message) < 200
+    accepted = [[1], np.array([1], dtype=np.int64), np.array([0.5], dtype=np.float32),
+                [0.5], np.array([0.25])]
+    if owner in ("Dataset.xs", "Dataset.ys", "forward"):
+        accepted.append(0.5)
+    for value in accepted:
+        kept = call(value)
+        if owner in KEEPS_ARRAY:  # a float64 array of the same values
+            assert kept.dtype == np.float64
+            assert kept.ravel().tolist() == np.ravel(value).astype(float).tolist()
+    floats = np.array([0.25])
+    if owner in KEEPS_ARRAY - {"TraceDebug.yhat"}:  # yhat is made 2-d
+        assert call(floats) is floats  # a float64 array is not copied
