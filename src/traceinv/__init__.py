@@ -9,94 +9,14 @@ learning rate and dataset size) can run the same inversion, which is
 the privacy point the demos and tests exercise.
 """
 
-from .model import (
-    DIVERGENCE_LIMIT,
-    Dataset,
-    Params,
-    TrainConfig,
-    TrainingDivergedError,
-    forward,
-    gradients,
-    mse,
-    train,
-)
-from .solver import (
-    DegenerateTraceError,
-    MatchReport,
-    ReconstructionResult,
-    SolverConfig,
-    VerifyReport,
-    match_solutions,
-    solve,
-    solve_n1,
-    verify_reconstruction,
-)
-from .system import (
-    FeasibilityReport,
-    InsufficientTraceError,
-    NetworkShape,
-    ReconstructionProblem,
-    feasibility,
-    jacobian,
-    pack,
-    residuals,
-    unpack,
-)
-from .tables import DEMO_CONFIG, DEMO_XS, DEMO_YS, demo_dataset, demo_tables, training_table
-from .trace import (
-    ParamTrace,
-    TraceDebug,
-    TraceParseError,
-    TraceValidationError,
-    dumps_trace,
-    load_trace,
-    loads_trace,
-    save_trace,
-)
+from . import model, solver, system, tables, trace
+from .model import *
+from .solver import *
+from .system import *
+from .tables import *
+from .trace import *
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "DIVERGENCE_LIMIT",
-    "Dataset",
-    "Params",
-    "TrainConfig",
-    "TrainingDivergedError",
-    "forward",
-    "gradients",
-    "mse",
-    "train",
-    "DegenerateTraceError",
-    "MatchReport",
-    "ReconstructionResult",
-    "SolverConfig",
-    "VerifyReport",
-    "match_solutions",
-    "solve",
-    "solve_n1",
-    "verify_reconstruction",
-    "FeasibilityReport",
-    "InsufficientTraceError",
-    "NetworkShape",
-    "ReconstructionProblem",
-    "feasibility",
-    "jacobian",
-    "pack",
-    "residuals",
-    "unpack",
-    "DEMO_CONFIG",
-    "DEMO_XS",
-    "DEMO_YS",
-    "demo_dataset",
-    "demo_tables",
-    "training_table",
-    "ParamTrace",
-    "TraceDebug",
-    "TraceParseError",
-    "TraceValidationError",
-    "dumps_trace",
-    "load_trace",
-    "loads_trace",
-    "save_trace",
-    "__version__",
-]
+__all__ = [*model.__all__, *solver.__all__, *system.__all__, *tables.__all__, *trace.__all__,
+           "__version__"]

@@ -140,11 +140,11 @@ def build_parser():
                    help="target value; one per --x")
     p.add_argument("--dataset", metavar="FILE",
                    help="read instances from a dataset file instead")
-    p.add_argument("--eta", type=float, default=0.1, help="learning rate (default 0.1)")
+    p.add_argument("--eta", type=float, default=0.1, help="learning rate (default %(default)s)")
     p.add_argument("--epochs", type=int, default=5,
-                   help="number of recorded epochs (default 5)")
-    p.add_argument("--w0", type=float, default=0.5, help="initial weight (default 0.5)")
-    p.add_argument("--b0", type=float, default=0.5, help="initial bias (default 0.5)")
+                   help="number of recorded epochs (default %(default)s)")
+    p.add_argument("--w0", type=float, default=0.5, help="initial weight (default %(default)s)")
+    p.add_argument("--b0", type=float, default=0.5, help="initial bias (default %(default)s)")
     p.add_argument("--precision", type=int, default=None, metavar="DIGITS",
                    help="significant digits (>= 1) written to the trace "
                         "(default: lossless)")
@@ -187,7 +187,7 @@ def build_parser():
     p.add_argument("dataset", help="recovered dataset (dataset or report file)")
     p.add_argument("--threshold", type=float, default=1e-8,
                    help="largest per-epoch deviation allowed for PASS; finite, >= 0 "
-                        "(default 1e-8)")
+                        "(default %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("feasibility",

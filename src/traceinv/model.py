@@ -23,8 +23,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Dataset: train's input, re-exported
+# Dataset: train's input, also importable from here (trace.__all__ lists it)
 from .trace import Dataset, ParamTrace, TraceDebug, _checked, _checked_array
+
+__all__ = [
+    "DIVERGENCE_LIMIT",
+    "Params",
+    "TrainConfig",
+    "TrainingDivergedError",
+    "forward",
+    "gradients",
+    "mse",
+    "train",
+]
 
 # training aborts once |w| or |b| leaves this range
 DIVERGENCE_LIMIT = 1e6

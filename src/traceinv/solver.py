@@ -38,6 +38,18 @@ from .model import Dataset, Params, TrainConfig, _tanh_terms, train
 from .system import InsufficientTraceError, ReconstructionProblem, jacobian, pack, residuals, unpack
 from .trace import _checked, _checked_array, _fields_equal
 
+__all__ = [
+    "DegenerateTraceError",
+    "MatchReport",
+    "ReconstructionResult",
+    "SolverConfig",
+    "VerifyReport",
+    "match_solutions",
+    "solve",
+    "solve_n1",
+    "verify_reconstruction",
+]
+
 
 class DegenerateTraceError(ValueError):
     """A closed-form division is undefined: b never moved, tanh saturates

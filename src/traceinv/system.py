@@ -36,6 +36,18 @@ import numpy as np
 from .model import _tanh_terms
 from .trace import ParamTrace, _checked
 
+__all__ = [
+    "FeasibilityReport",
+    "InsufficientTraceError",
+    "NetworkShape",
+    "ReconstructionProblem",
+    "feasibility",
+    "jacobian",
+    "pack",
+    "residuals",
+    "unpack",
+]
+
 
 class InsufficientTraceError(ValueError):
     """Trace has too few epochs for the requested reconstruction."""

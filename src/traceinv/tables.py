@@ -11,6 +11,15 @@ from __future__ import annotations
 from .model import Dataset, Params, TrainConfig, train
 from .trace import _checked
 
+__all__ = [
+    "DEMO_CONFIG",
+    "DEMO_XS",
+    "DEMO_YS",
+    "demo_dataset",
+    "demo_tables",
+    "training_table",
+]
+
 DEMO_XS = (0.6, 0.2, 0.1, 0.9)
 DEMO_YS = (0.5, 0.4, 0.3, 0.6)
 

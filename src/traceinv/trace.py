@@ -62,9 +62,22 @@ import io
 import math
 import numbers
 import os
+import reprlib
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+
+__all__ = [
+    "Dataset",
+    "ParamTrace",
+    "TraceDebug",
+    "TraceParseError",
+    "TraceValidationError",
+    "dumps_trace",
+    "load_trace",
+    "loads_trace",
+    "save_trace",
+]
 
 MAGIC = "traceinv-trace"
 DATASET_MAGIC = "traceinv-dataset"
@@ -124,8 +137,9 @@ def _checked(name, value, expected, ge=-math.inf, le=math.inf, gt=None, integer=
     an integer (``numbers.Integral``) when ``integer``, else a finite real
     number (``numbers.Real``), never ``bool``, with ``ge <= value <= le``
     and, given ``gt``, ``value > gt``.  Otherwise raises ``ValueError``
-    "<name> must be <expected>, got <value!r>", a ``TraceValidationError``
-    with ``rule`` when one is given.  The default bounds are infinite
+    "<name> must be <expected>, got <value>", a ``TraceValidationError``
+    with ``rule`` when one is given; ``reprlib.repr`` renders the value,
+    so a long list or int is cut short.  The default bounds are infinite
     floats, so an ``np.float32`` compares without a cast overflow."""
     try:
         ok = (isinstance(value, _INTEGRAL if integer else _REAL)
@@ -136,7 +150,7 @@ def _checked(name, value, expected, ge=-math.inf, le=math.inf, gt=None, integer=
         ok = False
     if ok:
         return value
-    message = f"{name} must be {expected}, got {value!r}"
+    message = f"{name} must be {expected}, got {reprlib.repr(value)}"
     raise ValueError(message) if rule is None else TraceValidationError(message, rule)
 
 

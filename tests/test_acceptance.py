@@ -138,6 +138,7 @@ def test_criterion_2_single_instance_recovery(criterion):
 
 
 def test_criterion_3_two_instance_recovery(criterion):
+    import scipy.optimize  # the budget times the attack, not scipy's first import
     with criterion(3, "two-instance recovery at 7 digits", 1.0):
         tr = train(demo_dataset(2), TrainConfig(eta=0.1, epochs=5))
         observed = loads_trace(dumps_trace(tr, digits=7)).truncated(3)

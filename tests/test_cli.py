@@ -1,5 +1,7 @@
 """Command-line behavior: flags, file contracts, exit codes, pipelines."""
 
+import ast
+import inspect
 import os
 import re
 import shlex
@@ -458,6 +460,29 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_each_public_name_has_one_home():
+    namespace = {}
+    exec("from traceinv import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(traceinv.__all__)
+    homes = {}
+    for module in (traceinv.model, traceinv.solver, traceinv.system, traceinv.tables,
+                   traceinv.trace):
+        assigned = {target.id for node in ast.parse(inspect.getsource(module)).body
+                    if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        for name in module.__all__:
+            assert name not in homes, f"{name} is listed by {homes[name]} and {module.__name__}"
+            homes[name] = module.__name__
+            obj = getattr(module, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                assert obj.__module__ == module.__name__, name
+            else:  # a constant: assigned at the module's top level
+                assert name in assigned, name
+            assert getattr(traceinv, name) is obj, name
+    assert sorted([*homes, "__version__"]) == sorted(traceinv.__all__)
 
 
 def test_readme_quickstart_runs(tmp_path):

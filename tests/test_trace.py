@@ -430,6 +430,11 @@ def test_paramtrace_invariants_checked_on_construction():
     for precision in (0, -3, 18, 10**400, 2.5, True, "7", np.array([7])):
         with pytest.raises(TraceValidationError, match="precision-positive"):
             ParamTrace(eta=0.1, n=1, ws=[0.5], bs=[0.5], precision=precision)
+    # the message cuts a long value short
+    for field_value in ({"eta": [0.1] * 10000}, {"precision": 10**400}):
+        with pytest.raises(TraceValidationError) as excinfo:
+            ParamTrace(**{"eta": 0.1, "n": 1, "ws": [0.5], "bs": [0.5], **field_value})
+        assert len(str(excinfo.value)) < 200
     with pytest.raises(TraceValidationError, match="epoch-count"):
         make_trace(0.1, 1, [], [])
     for yhat, loss in (([[0.1, 0.2]], [0.3]),  # n=1 trace, two yhat values
