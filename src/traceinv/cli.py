@@ -15,6 +15,11 @@ within a rounded trace's precision (the report is still written).
 ``RuntimeError`` for 1 and ``OSError``/``ValueError`` for 2, and a
 ``MemoryError`` or ``OverflowError`` also gives 2.
 
+The flags of ``reconstruct`` and ``feasibility`` are named after the
+fields of ``SolverConfig`` and ``NetworkShape``, which ``_config`` builds
+from them, so the parser is the one list of those flags.  Each config,
+and ``Dataset`` and ``save_trace`` for ``train``, checks its own values.
+
 The trace, dataset, and report file formats live in ``trace``.
 """
 
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import fields
 
 from .model import Dataset, Params, TrainConfig, TrainingDivergedError, train
 from .solver import SolverConfig, solve, verify_reconstruction
@@ -40,17 +46,20 @@ def _save(save, obj, path, **kwargs):
         raise RuntimeError(exc) from exc
 
 
+def _config(cls, args):
+    """The dataclass ``cls`` built from the parsed flags named after its
+    fields; a field with no flag keeps its default."""
+    flags = vars(args)
+    return cls(**{f.name: flags[f.name] for f in fields(cls) if f.name in flags})
+
+
 def cmd_train(args):
     if args.dataset is not None and (args.x or args.y):
         raise ValueError("give either --dataset or inline --x/--y values, not both")
-    if args.precision is not None and args.precision < 1:
-        raise ValueError(f"--precision must be >= 1, got {args.precision}")
     if args.dataset is not None:
         data = load_dataset(args.dataset)
     elif not args.x or not args.y:
         raise ValueError("no dataset: pass --dataset FILE or --x/--y pairs")
-    elif len(args.x) != len(args.y):
-        raise ValueError(f"got {len(args.x)} --x values but {len(args.y)} --y values")
     else:
         data = Dataset(args.x, args.y)
     cfg = TrainConfig(eta=args.eta, epochs=args.epochs, init=Params(args.w0, args.b0))
@@ -66,16 +75,7 @@ def cmd_tables(args):
 
 def cmd_reconstruct(args):
     problem = ReconstructionProblem(load_trace(args.trace))
-    cfg = SolverConfig(
-        max_iterations=args.max_iterations,
-        residual_tolerance=args.residual_tolerance,
-        step_tolerance=args.step_tolerance,
-        multistart_count=args.multistart_count,
-        seed=args.seed,
-        box_bounds=tuple(args.box_bounds) if args.box_bounds else None,
-        allow_underdetermined=args.allow_underdetermined,
-    )
-    result = solve(problem, cfg)
+    result = solve(problem, _config(SolverConfig, args))
     _save(save_report, result, args.output)
     if args.output != "-":
         status = "converged" if result.converged else "did not converge"
@@ -107,10 +107,7 @@ def cmd_verify(args):
 
 
 def cmd_feasibility(args):
-    shape = NetworkShape(
-        width=args.width, layers=args.layers, instances=args.instances, epochs=args.epochs
-    )
-    report = feasibility(shape)
+    report = feasibility(_config(NetworkShape, args))
     bound = args.instances / args.width  # OverflowError (exit 2) beyond float range
     print(f"unknowns   {report.unknowns}")
     print(f"equations  {report.equations}")

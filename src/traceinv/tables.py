@@ -46,23 +46,13 @@ def training_table(data, cfg=DEMO_CONFIG, decimals=3):
     shown as a tuple cell.
     """
     tr = train(data, cfg, debug=True)
-    header = ["epoch", "w", "b", "y_hat", "loss"]
-    rows = []
-    for j in range(tr.epochs):
-        rows.append(
-            [
-                str(j),
-                f"{tr.ws[j]:.{decimals}f}",
-                f"{tr.bs[j]:.{decimals}f}",
-                _cell(tr.debug.yhat[j], decimals),
-                f"{tr.debug.loss[j]:.{decimals}f}",
-            ]
-        )
-    widths = [max(len(header[c]), max(len(r[c]) for r in rows)) for c in range(len(header))]
-    lines = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(header))]
-    for r in rows:
-        lines.append("  ".join(r[c].ljust(widths[c]) for c in range(len(header))))
-    return "\n".join(lines)
+    rows = [["epoch", "w", "b", "y_hat", "loss"]] + [  # the header is the first row
+        [str(j), f"{tr.ws[j]:.{decimals}f}", f"{tr.bs[j]:.{decimals}f}",
+         _cell(tr.debug.yhat[j], decimals), f"{tr.debug.loss[j]:.{decimals}f}"]
+        for j in range(tr.epochs)
+    ]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.ljust, row, widths)) for row in rows)
 
 
 def demo_tables():

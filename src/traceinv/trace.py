@@ -107,9 +107,10 @@ class TraceValidationError(ValueError):
 def _equal(a, b):
     """One field's equality: an ndarray on either side compares
     elementwise (None or a list against an array compares unequal or by
-    value, never raising), and two tuples, such as array ``box_bounds``,
-    compare item by item under the same rule."""
-    if isinstance(a, tuple) and isinstance(b, tuple):
+    value, never raising), and two tuples or lists, such as array
+    ``box_bounds``, compare item by item under the same rule, a list
+    equal to the tuple of the same items."""
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
         return len(a) == len(b) and all(map(_equal, a, b))
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.array_equal(a, b)
@@ -520,7 +521,7 @@ def load_trace(source):
         {"eta": float, "n": int, "epochs": int},
         {"epoch": "epoch <j> <w> <b>", "debug": "debug <j> <loss> <yhat...>"},
     )
-    n = fields["n"]
+    n = _checked("n", fields["n"], ">= 1", ge=1, integer=True, rule="n-positive")
     epochs = _checked("epochs", fields["epochs"], ">= 1", ge=1, integer=True,
                       rule="epochs-positive")
     epoch_rows = _indexed(rows, "epoch", epochs, "epoch-contiguous")

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import traceinv
-from traceinv import Dataset, SolverConfig, TrainConfig, load_trace, train, verify_reconstruction
+from traceinv import (
+    Dataset, SolverConfig, TrainConfig, load_trace, solve, train, verify_reconstruction,
+)
 from traceinv.cli import build_parser, load_dataset, main
 from traceinv.trace import TraceParseError, TraceValidationError, save_dataset
 
@@ -252,6 +254,40 @@ def test_reconstruct_input_errors(tmp_path, capsys):
     assert run("reconstruct", str(big), "--allow-underdetermined", "-o", str(report)) == 2
     assert not report.exists()
     capsys.readouterr()
+
+
+def test_reconstruct_passes_every_solver_flag_to_solve(tmp_path, monkeypatch, capsys):
+    # each flag is named after the SolverConfig field it sets
+    configs = []
+
+    def recording_solve(problem, cfg):
+        configs.append(cfg)
+        return solve(problem, cfg)
+
+    monkeypatch.setattr("traceinv.cli.solve", recording_solve)
+    tpath = tmp_path / "ok.trace"
+    run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath))
+    assert run("reconstruct", str(tpath)) == 0
+    assert run("reconstruct", str(tpath), "--max-iterations", "7",
+               "--residual-tolerance", "1e-6", "--step-tolerance", "1e-9",
+               "--multistart-count", "3", "--seed", "5", "--box-bounds", "-2", "2",
+               "--allow-underdetermined") == 0
+    capsys.readouterr()
+    assert configs == [
+        SolverConfig(),
+        SolverConfig(max_iterations=7, residual_tolerance=1e-6, step_tolerance=1e-9,
+                     multistart_count=3, seed=5, box_bounds=(-2.0, 2.0),
+                     allow_underdetermined=True),
+    ]
+
+
+def test_train_errors_come_from_dataset_and_save_trace(tmp_path, capsys):
+    assert run("train", "--x", "0.6", "--y", "0.5", "--y", "0.4") == 2
+    assert "xs and ys must have equal length, got 1 and 2" in capsys.readouterr().err
+    out = tmp_path / "never.trace"
+    assert run("train", "--x", "0.6", "--y", "0.5", "--precision", "0", "-o", str(out)) == 2
+    assert "digits must be None or >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys):

@@ -230,6 +230,12 @@ def test_value_types_compare_arrays_elementwise():
     assert box == copy.deepcopy(box)
     changed = SolverConfig(box_bounds=(np.zeros(2), np.array([1.0, 2.0])))
     assert box != changed and changed != box and box != SolverConfig()
+    # a list pair compares the same way, and equal to the tuple pair
+    listed = SolverConfig(box_bounds=[np.zeros(2), np.ones(2)])
+    assert listed == SolverConfig(box_bounds=[np.zeros(2), np.ones(2)])
+    assert listed == box and box == listed and listed != changed
+    assert SolverConfig(box_bounds=[-2.0, 2.0]) == SolverConfig(box_bounds=(-2.0, 2.0))
+    assert hash(listed) == hash(SolverConfig())  # box_bounds is not hashed
     guess = np.array([0.5, 0.1])
     assert SolverConfig() != SolverConfig(initial_guess=guess)
     assert SolverConfig(initial_guess=list(guess)) == SolverConfig(initial_guess=guess)
@@ -364,6 +370,11 @@ def test_validation_rules():
     expect_validation_error(
         HEADER + "eta 0.1\nn 0\nepochs 1\nepoch 0 0.5 0.5\n", "n-positive"
     )
+    # n is checked before the debug records' arity, which depends on it
+    for n in ("0", "-1"):
+        expect_validation_error(
+            HEADER + f"eta 0.1\nn {n}\nepochs 1\nepoch 0 0.5 0.5\ndebug 0 0.1 0.6\n", "n-positive"
+        )
     expect_validation_error(
         HEADER + "eta 0.1\nn 1\nepochs 0\n", "epochs-positive"
     )
