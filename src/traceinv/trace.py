@@ -48,12 +48,15 @@ unless each holds ``n`` yhat values).  For ``instance`` records a wrong
 number raises ``instance-count`` and a bad index ``instance-contiguous``.
 The debug block is optional; when present it covers every epoch.
 
-The readers convert each column of ``epoch`` and ``instance`` records
-(the index, then w and b, or x and y) and the ``debug`` index and loss
-in one pass, a ``map`` over the column; a token that is not a number
-raises ``TraceParseError`` naming its line, the first bad line of the
-first bad column in that order.  The trace writer renders every epoch
-row through one ``%`` template, which ``format_float`` shares.
+Each file is read in one pass over its lines, which checks the header
+and sorts every record.  Every column then converts in one ``map``: the
+index, then w and b, of ``epoch`` records; the index, each yhat column
+and the loss, in that order, of ``debug`` records; the index, then x and
+y, of ``instance`` records; and a field's value as a one-row column.  A
+token that is not a number raises ``TraceParseError`` naming its line,
+the first bad line of the first bad column in that order.  The trace
+writer renders every epoch row through one ``%`` template, which
+``format_float`` shares.
 """
 
 from __future__ import annotations
@@ -369,13 +372,38 @@ def save_report(result, destination):
     )
 
 
-def iter_records(source, *magics):
-    """Tokenize a line-oriented file whose header names one of ``magics``.
+def _numbers(kind, rows, column):
+    """``kind(tokens[column])`` of every ``(line_number, tokens)`` row,
+    as a list, converted in one ``map`` over the column.  Only after a
+    failure is the column converted again token by token, so the
+    ``TraceParseError`` names the first bad line."""
+    tokens = [t[column] for _, t in rows]
+    try:
+        return list(map(kind, tokens))
+    except ValueError:
+        for (lineno, _), token in zip(rows, tokens):
+            try:
+                kind(token)
+            except ValueError:
+                raise TraceParseError(
+                    f"not a valid {kind.__name__}: {token!r}", line=lineno
+                ) from None
+        raise
 
-    ``source`` is a path or a text or bytes file object.  Returns
-    ``(magic, records)``: the magic the header named, and a list of
-    ``(line_number, tokens)``, one for every non-blank, non-comment line
-    after the header.
+
+def _read(source, magics, fields, rows):
+    """Read a line-oriented file and sort its records, in one pass.
+
+    ``source`` is a path or a text or bytes file object.  Blank lines
+    and ``#`` comments are skipped; the first other line is the header,
+    which must name a key of ``magics`` and the format version.
+    ``magics`` maps each accepted magic to the optional fields it adds,
+    whose value is checked only for count and repetition.  ``fields``
+    maps each required field to the type of its value.  ``rows`` maps
+    each row record to its usage line; a usage ending in ``...>`` takes
+    any number of trailing values.  Returns the field values (None for
+    an optional one) and, for each row record, its ``(line_number,
+    tokens)`` list for the caller to convert by column.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -384,76 +412,41 @@ def iter_records(source, *magics):
             text = fh.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = enumerate(map(str.split, text.splitlines()), start=1)
-    records = [(lineno, tokens) for lineno, tokens in lines
-               if tokens and tokens[0][0] != "#"]
-    if not records:
-        raise TraceParseError("empty file, missing header line")
-    lineno, header = records[0]
-    if len(header) != 2 or header[0] not in magics:
-        expected = " or ".join(f"'{magic} <version>'" for magic in magics)
-        raise TraceParseError(
-            f"expected header {expected}, got {' '.join(header)!r}", line=lineno
-        )
-    if header[1] != str(FORMAT_VERSION):
-        raise TraceParseError(f"unsupported format version {header[1]!r}", line=lineno)
-    return header[0], records[1:]
-
-
-def _number(kind, token, lineno):
-    """``kind(token)`` for ``kind`` float or int, naming the line on failure."""
-    try:
-        return kind(token)
-    except ValueError:
-        raise TraceParseError(f"not a valid {kind.__name__}: {token!r}", line=lineno) from None
-
-
-def _numbers(kind, rows, column):
-    """``kind(tokens[column])`` of every ``(line_number, tokens)`` row,
-    as a list, converted in one ``map`` over the column.  Only after a
-    failure is the column converted again token by token through
-    ``_number``, so the error names the first bad line."""
-    tokens = [t[column] for _, t in rows]
-    try:
-        return list(map(kind, tokens))
-    except ValueError:
-        for (lineno, _), token in zip(rows, tokens):
-            _number(kind, token, lineno)
-        raise
-
-
-def _parse(records, fields, rows, ignore=()):
-    """Sort ``records`` into one-value fields and multi-value rows.
-
-    ``fields`` maps each required field to the type of its value.
-    ``rows`` maps each row record to its usage line; a usage ending in
-    ``...>`` takes any number of trailing values.  ``ignore`` names
-    optional fields whose value is checked only for count and repetition.
-    Returns the field values (None for an ignored one) and, for each row
-    record, its ``(line_number, tokens)`` list for the caller to parse by
-    column.
-    """
     arity = {key: len(usage.split()) for key, usage in rows.items()}
     found = {key: [] for key in rows}
     values = {}
-    for lineno, tokens in records:
+    optional = None  # set by the header
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
+        if not tokens or tokens[0][0] == "#":
+            continue
         key = tokens[0]
-        if key in found:
+        if optional is None:
+            if len(tokens) != 2 or key not in magics:
+                expected = " or ".join(f"'{magic} <version>'" for magic in magics)
+                raise TraceParseError(
+                    f"expected header {expected}, got {' '.join(tokens)!r}", line=lineno
+                )
+            if tokens[1] != str(FORMAT_VERSION):
+                raise TraceParseError(f"unsupported format version {tokens[1]!r}", line=lineno)
+            optional = magics[key]
+        elif key in found:
             if len(tokens) != arity[key] and not (
                 len(tokens) > arity[key] and rows[key].endswith("...>")
             ):
                 raise TraceParseError(f"'{key}' record needs: {rows[key]}", line=lineno)
             found[key].append((lineno, tokens))
-        elif key in fields or key in ignore:
+        elif key in fields or key in optional:
             if len(tokens) != 2:
                 raise TraceParseError(f"'{key}' takes one value", line=lineno)
             if key in values:
                 raise TraceValidationError(
                     f"duplicate field '{key}'", rule="duplicate-field"
                 )
-            values[key] = _number(fields[key], tokens[1], lineno) if key in fields else None
+            values[key] = _numbers(fields[key], [(lineno, tokens)], 1)[0] if key in fields else None
         else:
             raise TraceParseError(f"unknown record type {key!r}", line=lineno)
+    if optional is None:
+        raise TraceParseError("empty file, missing header line")
     for key in fields:
         if key not in values:
             raise TraceValidationError(
@@ -480,25 +473,20 @@ def _precision(rows):
 def _indexed(rows, key, count, rule, count_rule=None):
     """The ``(line_number, tokens)`` rows of record ``key``, in index order.
 
-    ``rows`` is the row map that ``_parse`` returns.  Each row's
+    ``rows`` is the row map that ``_read`` returns.  Each row's
     ``tokens[1]`` is its index, and the indices must be 0..count-1, each
-    once, in any order; rows already in file order are returned as they
-    are, and one loop places the rows of any other order at their
-    indices.  A number of rows other than ``count`` raises ``count_rule``
-    (default ``rule``); an index out of range or repeated raises
-    ``rule``.  The count is checked first, so a huge declared count
-    allocates nothing.
+    once, in any order; one loop places every row at its index.  A
+    number of rows other than ``count`` raises ``count_rule`` (default
+    ``rule``); an index out of range or repeated raises ``rule``.  The
+    count is checked first, so a huge declared count allocates nothing.
     """
     found = rows[key]
     if len(found) != count:
         raise TraceValidationError(
             f"expected {count} '{key}' records, found {len(found)}", rule=count_rule or rule
         )
-    indices = _numbers(int, found, 1)
-    if indices == list(range(count)):
-        return found
     ordered = [None] * count
-    for j, row in zip(indices, found):
+    for j, row in zip(_numbers(int, found, 1), found):
         if not 0 <= j < count or ordered[j] is not None:
             raise TraceValidationError(
                 f"line {row[0]}: '{key}' indices must cover 0..{count - 1} exactly once",
@@ -515,9 +503,9 @@ def load_trace(source):
     by index.  The returned trace records the precision of its epoch
     values.
     """
-    _, records = iter_records(source, MAGIC)
-    fields, rows = _parse(
-        records,
+    fields, rows = _read(
+        source,
+        {MAGIC: ()},
         {"eta": float, "n": int, "epochs": int},
         {"epoch": "epoch <j> <w> <b>", "debug": "debug <j> <loss> <yhat...>"},
     )
@@ -536,7 +524,7 @@ def load_trace(source):
                 f"debug records must give one loss and {n} yhat values", rule="debug-shape"
             )
         debug = TraceDebug(
-            yhat=np.array([[_number(float, v, ln) for v in t[3:]] for ln, t in debug_rows]),
+            yhat=np.column_stack([_numbers(float, debug_rows, k) for k in range(3, n + 3)]),
             loss=np.array(_numbers(float, debug_rows, 2)),
         )
 
@@ -552,12 +540,11 @@ _REPORT_FIELDS = ("converged", "residual_norm", "iterations", "starts_tried")
 def load_dataset(source):
     """Read a dataset from a dataset file or a reconstruction report;
     ``instance`` records may come in any order and are stored by index."""
-    magic, records = iter_records(source, DATASET_MAGIC, REPORT_MAGIC)
-    fields, rows = _parse(
-        records,
+    fields, rows = _read(
+        source,
+        {DATASET_MAGIC: (), REPORT_MAGIC: _REPORT_FIELDS},
         {"n": int},
         {"instance": "instance <i> <x> <y>"},
-        ignore=_REPORT_FIELDS if magic == REPORT_MAGIC else (),
     )
     instance_rows = _indexed(
         rows, "instance", fields["n"], "instance-contiguous", count_rule="instance-count"

@@ -306,10 +306,19 @@ def test_parse_errors_name_the_line():
     with pytest.raises(TraceParseError) as excinfo:
         load_dataset(io.StringIO("traceinv-dataset 1\nn 5\n" + "\n".join(rows) + "\n"))
     assert excinfo.value.line == 6
+    # debug yhat converts column by column too: the first bad column is the
+    # first yhat, whose bad token sits on the later line
+    text = (HEADER + "eta 0.1\nn 2\nepochs 2\nepoch 0 0.5 0.5\nepoch 1 0.4 0.4\n"
+            "debug 0 0.1 0.6 x1\ndebug 1 0.1 y0 0.5\n")
+    with pytest.raises(TraceParseError) as excinfo:
+        loads_trace(text)
+    assert excinfo.value.line == 8
+    assert "'y0'" in str(excinfo.value)
 
 
 def test_bad_headers():
     expect_parse_error("", "missing header")
+    expect_parse_error("# only a comment\n\n", "missing header")
     expect_parse_error("something-else 1\neta 0.1\n", "expected header")
     expect_parse_error("traceinv-trace 99\neta 0.1\n", "version")
 
