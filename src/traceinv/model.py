@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Dataset: train's input, also importable from here (trace.__all__ lists it)
-from .trace import Dataset, ParamTrace, TraceDebug, _checked, _checked_array
+from .trace import Dataset, ParamTrace, TraceDebug, _checked, _checked_vectors
 
 __all__ = [
     "DIVERGENCE_LIMIT",
@@ -100,30 +100,23 @@ def _gradient(w, b, xs, ys):
 
 
 def forward(params, xs):
-    """Network outputs tanh(w*x + b) for a non-empty vector (or a scalar)
-    of finite real inputs; ``ValueError`` naming ``xs`` otherwise.
+    """Network outputs tanh(w*x + b) for a non-empty 1-d vector (a scalar
+    is one input) of finite real numbers; ``ValueError`` naming ``xs``
+    and its shape otherwise.
 
     Outputs lie in (-1, 1); note that in floating point tanh saturates to
     exactly +-1.0 once |w*x + b| exceeds about 19.
     """
-    xs = np.atleast_1d(_checked_array("xs", xs))
-    if len(xs) == 0:
-        raise ValueError("input vector must be non-empty")
+    xs, = _checked_vectors(xs=xs)
     return _tanh_terms(params.w, params.b, xs, 0.0)[0]
 
 
 def mse(yhat, ys):
     """Mean squared error between computed and real labels, two
-    non-empty vectors (or scalars) of finite real numbers with equal
-    lengths; ``ValueError`` naming the field otherwise."""
-    yhat = np.atleast_1d(_checked_array("yhat", yhat))
-    ys = np.atleast_1d(_checked_array("ys", ys))
-    if len(yhat) != len(ys):
-        raise ValueError(
-            f"length mismatch: yhat has {len(yhat)}, ys has {len(ys)}"
-        )
-    if len(ys) == 0:
-        raise ValueError("vectors must be non-empty")
+    non-empty 1-d vectors of finite real numbers and of equal length (a
+    scalar is one label); ``ValueError`` naming the bad field, or both
+    fields and their shapes, otherwise."""
+    yhat, ys = _checked_vectors(yhat=yhat, ys=ys)
     return float(np.mean((yhat - ys) ** 2))
 
 

@@ -300,9 +300,12 @@ def solve_n1(problem, residual_tolerance=SolverConfig.residual_tolerance):
     n=1.  Raises DegenerateTraceError, naming t_b and x, where the closed
     form is not finite: |t_b| < 1e-14 (the bias never moved), tanh
     saturates at x so that 1 - T(x)^2 is 0, or a quotient overflows.
+    ``residual_tolerance`` is checked as ``SolverConfig``'s is: a finite
+    number > 0, ``ValueError`` otherwise.
     """
     if problem.n != 1:
         raise ValueError(f"closed form applies to n=1 only, problem has n={problem.n}")
+    _checked("residual_tolerance", residual_tolerance, "a finite number > 0", gt=0)
     z = _closed_form(problem)
     if not np.isfinite(z).all():
         raise DegenerateTraceError(

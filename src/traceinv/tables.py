@@ -42,9 +42,10 @@ def training_table(data, cfg=DEMO_CONFIG, decimals=3):
     """Render a training run as an aligned text table.
 
     One row per epoch: parameters, per-instance predictions, and loss,
-    all rounded to ``decimals`` places.  Multi-instance predictions are
-    shown as a tuple cell.
+    all rounded to ``decimals`` places (an integer >= 0, ``ValueError``
+    otherwise).  Multi-instance predictions are shown as a tuple cell.
     """
+    _checked("decimals", decimals, "an integer >= 0", ge=0, integer=True)
     tr = train(data, cfg, debug=True)
     rows = [["epoch", "w", "b", "y_hat", "loss"]] + [  # the header is the first row
         [str(j), f"{tr.ws[j]:.{decimals}f}", f"{tr.bs[j]:.{decimals}f}",

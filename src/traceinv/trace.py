@@ -185,26 +185,35 @@ def _checked_array(name, value, rule=None, finite=True):
     raise ValueError(message) if rule is None else TraceValidationError(message, rule)
 
 
+def _checked_vectors(rule=None, shape_rule=None, **named):
+    """The one shape check of every vector input: each named value
+    passes ``_checked_array`` (with ``rule``) and is made at least 1-d,
+    so a scalar is one element.  Returns the arrays, in order, when all
+    are 1-d, non-empty and of one length; otherwise raises ``ValueError`` naming
+    every field and its shape, "xs and ys must be non-empty 1-d arrays
+    of equal length, got shapes (1,) and (2,)", a
+    ``TraceValidationError`` with ``shape_rule`` when one is given."""
+    arrays = [np.atleast_1d(_checked_array(name, value, rule)) for name, value in named.items()]
+    if len({a.shape for a in arrays}) == 1 and arrays[0].ndim == 1 and arrays[0].size:
+        return arrays
+    shapes = " and ".join(str(a.shape) for a in arrays)
+    expected = ("non-empty 1-d arrays of equal length, got shapes" if len(arrays) > 1
+                else "a non-empty 1-d array, got shape")
+    message = f"{' and '.join(named)} must be {expected} {shapes}"
+    raise ValueError(message) if shape_rule is None else TraceValidationError(message, shape_rule)
+
+
 @dataclass
 class Dataset:
-    """Paired input/label vectors of finite real numbers, equal lengths
-    >= 1 (a scalar is one instance); the secret the attack tries to
-    recover."""
+    """Paired input/label vectors of finite real numbers, non-empty 1-d
+    and of equal length (a scalar is one instance); the secret the
+    attack tries to recover."""
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        self.xs = np.atleast_1d(_checked_array("xs", self.xs))
-        self.ys = np.atleast_1d(_checked_array("ys", self.ys))
-        if self.xs.ndim != 1 or self.ys.ndim != 1:
-            raise ValueError("xs and ys must be 1-d")
-        if len(self.xs) != len(self.ys):
-            raise ValueError(
-                f"xs and ys must have equal length, got {len(self.xs)} and {len(self.ys)}"
-            )
-        if len(self.xs) == 0:
-            raise ValueError("dataset must contain at least one instance")
+        self.xs, self.ys = _checked_vectors(xs=self.xs, ys=self.ys)
 
     @property
     def n(self):
@@ -235,7 +244,8 @@ class ParamTrace:
     (finite, > 0) and ``n`` (an integer >= 1).
 
     Epoch ``j`` of ``ws``/``bs`` (finite real numbers, rule
-    ``finite-values``; equal lengths >= 1) holds the parameter values
+    ``finite-values``; non-empty 1-d and of equal length, a scalar
+    being one epoch, rule ``epoch-count``) holds the parameter values
     used in that epoch's forward pass, i.e. the values before the j-th
     update.  ``precision`` is None for exact values, or the integer in
     1..17 of significant digits they were observed with (17 digits
@@ -252,16 +262,7 @@ class ParamTrace:
     def __post_init__(self):
         self.eta = float(_checked("eta", self.eta, "finite and > 0", gt=0, rule="eta-positive"))
         self.n = int(_checked("n", self.n, ">= 1", ge=1, integer=True, rule="n-positive"))
-        self.ws = _checked_array("ws", self.ws, rule="finite-values")
-        self.bs = _checked_array("bs", self.bs, rule="finite-values")
-        if self.ws.ndim != 1 or self.bs.ndim != 1 or len(self.ws) != len(self.bs):
-            raise TraceValidationError(
-                "ws and bs must be 1-d arrays of equal length", rule="epoch-count"
-            )
-        if len(self.ws) < 1:
-            raise TraceValidationError(
-                "trace needs at least one epoch", rule="epoch-count"
-            )
+        self.ws, self.bs = _checked_vectors("finite-values", "epoch-count", ws=self.ws, bs=self.bs)
         if self.precision is not None:
             self.precision = int(_checked("precision", self.precision, "None or in 1..17", ge=1,
                                           le=17, integer=True, rule="precision-positive"))

@@ -283,7 +283,8 @@ def test_reconstruct_passes_every_solver_flag_to_solve(tmp_path, monkeypatch, ca
 
 def test_train_errors_come_from_dataset_and_save_trace(tmp_path, capsys):
     assert run("train", "--x", "0.6", "--y", "0.5", "--y", "0.4") == 2
-    assert "xs and ys must have equal length, got 1 and 2" in capsys.readouterr().err
+    assert ("xs and ys must be non-empty 1-d arrays of equal length, got shapes (1,) and (2,)"
+            in capsys.readouterr().err)
     out = tmp_path / "never.trace"
     assert run("train", "--x", "0.6", "--y", "0.5", "--precision", "0", "-o", str(out)) == 2
     assert "digits must be None or >= 1, got 0" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from traceinv import (
     gradients,
     mse,
     train,
+    training_table,
 )
 from traceinv.model import _tanh_terms
 
@@ -53,7 +54,7 @@ def test_mse_matches_scalar_mean(rng):
         ys = rng.uniform(-1, 1, n)
         want = sum((a - b) ** 2 for a, b in zip(yhat, ys)) / n
         assert abs(mse(yhat, ys) - want) < 1e-15
-    with pytest.raises(ValueError, match="length mismatch"):
+    with pytest.raises(ValueError, match="must be non-empty 1-d arrays of equal length"):
         mse([0.1, 0.2], [0.3])
     with pytest.raises(ValueError, match="non-empty"):
         mse([], [])
@@ -288,6 +289,11 @@ def test_dataset_validation():
         with pytest.raises(ValueError, match="between 1 and 4"):
             demo_dataset(n)
     assert demo_dataset(np.int64(2)) == demo_dataset(2)
+    for decimals in (-1, True, 1.5, "3", None):
+        with pytest.raises(ValueError, match="^decimals must be an integer >= 0"):
+            training_table(demo_dataset(1), decimals=decimals)
+    assert training_table(demo_dataset(1), decimals=np.int64(2)) == training_table(
+        demo_dataset(1), decimals=2)
     data = Dataset([0.1, 0.2], [0.3, 0.4])
     assert data.n == 2
     assert data == Dataset([0.1, 0.2], [0.3, 0.4])

@@ -48,6 +48,10 @@ def test_closed_form_recovers_exactly():
     assert abs(res.recovered.ys[0] - 0.5) < 1e-6
     assert res.residual_norm < 1e-10
     assert res.iterations == 0 and res.starts_tried == 1
+    # the tolerance is checked as SolverConfig checks its own
+    for tolerance in (0.0, -1.0, np.nan, np.inf, True, "1e-10"):
+        with pytest.raises(ValueError, match="^residual_tolerance must be"):
+            solve_n1(p, residual_tolerance=tolerance)
 
 
 def test_closed_form_from_rounded_values():

@@ -2,6 +2,7 @@
 
 import copy
 import io
+import re
 
 import numpy as np
 import pytest
@@ -524,3 +525,40 @@ def test_every_numeric_array_takes_finite_real_numbers_only(owner):
     floats = np.array([0.25])
     if owner in KEEPS_ARRAY - {"TraceDebug.yhat"}:  # yhat is made 2-d
         assert call(floats) is floats  # a float64 array is not copied
+
+
+# every owner of vector inputs: the names in its shape message, the rule of
+# its TraceValidationError, and a call that puts a and b (forward takes a
+# only) in its vector fields
+VECTOR_OWNERS = {
+    "Dataset": ("xs and ys", None, lambda a, b: Dataset(a, b).xs),
+    "ParamTrace": ("ws and bs", "epoch-count", lambda a, b: ParamTrace(0.1, 1, a, b).ws),
+    "forward": ("xs", None, lambda a, b: forward(Params(0.5, 0.5), a)),
+    "mse": ("yhat and ys", None, mse),
+}
+
+
+@pytest.mark.parametrize("owner", VECTOR_OWNERS)
+def test_every_vector_input_takes_one_shape_rule(owner):
+    names, rule, call = VECTOR_OWNERS[owner]
+    rejected = [("(1, 2)", "(1,)", [[0.5, 0.4]], [0.5]),  # 2-d
+                ("(0,)", "(0,)", [], []),  # empty
+                ("(1,)", "(2,)", [0.5], [0.5, 0.4])]  # unequal
+    for shape_a, shape_b, a, b in rejected:
+        if names == "xs":  # one vector: a alone is checked
+            if shape_a == "(1,)":
+                continue
+            expected = f"xs must be a non-empty 1-d array, got shape {shape_a}"
+        else:
+            expected = (f"{names} must be non-empty 1-d arrays of equal length, "
+                        f"got shapes {shape_a} and {shape_b}")
+        with pytest.raises(TraceValidationError if rule else ValueError,
+                           match="^" + re.escape(expected)) as excinfo:
+            call(a, b)
+        assert getattr(excinfo.value, "rule", None) == rule
+    # a scalar is one element
+    kept = call(0.5, 0.25)
+    if owner == "mse":
+        assert kept == (0.5 - 0.25) ** 2
+    else:
+        assert kept.shape == (1,)
