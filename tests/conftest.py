@@ -1,13 +1,17 @@
 """Shared helpers: a second, deliberately unvectorized implementation of
 the training loop and the per-epoch equations, used to cross-check the
 library's numpy versions.  Keep these in plain Python with math.tanh so
-the two routes share no code."""
+the two routes share no code.  ``package_env`` points the subprocess
+tests at the package these tests import."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import traceinv
 from traceinv import Dataset, ParamTrace
 
 
@@ -46,6 +50,13 @@ def reference_residuals(xs, ys, ws, bs, eta):
         out.append(sw - n / (2.0 * eta) * (ws[j] - ws[j + 1]))
         out.append(sb - n / (2.0 * eta) * (bs[j] - bs[j + 1]))
     return out
+
+
+def package_env():
+    """Environment for a subprocess that imports the same traceinv as the
+    tests: the checkout's or the installed one, whichever is imported here."""
+    path = [str(Path(traceinv.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def make_trace(eta, n, ws, bs):

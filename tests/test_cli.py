@@ -2,7 +2,6 @@
 
 import ast
 import inspect
-import os
 import re
 import shlex
 import subprocess
@@ -19,7 +18,7 @@ from traceinv import (
 from traceinv.cli import build_parser, load_dataset, main
 from traceinv.trace import TraceParseError, TraceValidationError, save_dataset
 
-from conftest import reference_loop
+from conftest import package_env, reference_loop
 
 DEMO = {
     1: ([0.6], [0.5]),
@@ -314,6 +313,14 @@ def test_reconstruct_nonconvergence_exit_code(tmp_path, capsys):
     assert "did not converge (within trace precision, quantum " in out
     assert "1 start(s)" in out
     assert "converged false" in rpath.read_text()  # report still written
+    # n=1 over 4 epochs at 7 digits has no exact root; verify still checks every epoch
+    tpath = tmp_path / "n1.trace"
+    run("train", "--x", "0.6", "--y", "0.5", "--epochs", "4", "--precision", "7",
+        "-o", str(tpath))
+    assert run("reconstruct", str(tpath), "-o", str(rpath)) == 3
+    capsys.readouterr()
+    assert run("verify", str(tpath), str(rpath)) in (0, 1)
+    assert sum(line.startswith("epoch ") for line in capsys.readouterr().out.splitlines()) == 4
 
 
 def test_reconstruct_underdetermined_flag(tmp_path, capsys):
@@ -480,6 +487,7 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "traceinv", "tables"],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert "demo dataset n=1" in proc.stdout
@@ -488,12 +496,11 @@ def test_module_entry_point_runs():
 def test_import_loads_no_scipy():
     # scipy is imported by the first solve or match_solutions, not by the package
     code = "import sys, traceinv, traceinv.cli; print('scipy.optimize' in sys.modules)"
-    root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env=package_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
@@ -531,7 +538,7 @@ def test_readme_quickstart_runs(tmp_path):
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        env=package_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[0.6 0.2]", "[0.5 0.4]"]
@@ -551,7 +558,7 @@ def test_readme_cli_block_runs(tmp_path):
             capture_output=True,
             text=True,
             cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            env=package_env(),
         )
         assert proc.returncode == 0, (line, proc.stderr)
         if argv[1] == "verify":
@@ -568,15 +575,29 @@ def test_package_version_matches_pyproject():
 # --- the full pipeline ------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_pipeline_train_reconstruct_verify(n, tmp_path, capsys):
+@pytest.mark.parametrize("n, epochs", [
+    *(pytest.param(n, 5, id=str(n)) for n in DEMO),
+    pytest.param(1, 500, id="1-500-epochs"),
+])
+def test_pipeline_train_reconstruct_verify(n, epochs, tmp_path, capsys):
     xs, ys = DEMO[n]
-    args = ["train", "-o", str(tmp_path / "p.trace")]
+    tpath, rpath = tmp_path / "p.trace", tmp_path / "p.report"
+    args = ["train", "--epochs", str(epochs), "-o", str(tpath)]
     for x, y in zip(xs, ys):
         args += ["--x", str(x), "--y", str(y)]
     assert run(*args) == 0
-    assert run("reconstruct", str(tmp_path / "p.trace"),
-               "-o", str(tmp_path / "p.report")) == 0
-    assert run("verify", str(tmp_path / "p.trace"),
-               str(tmp_path / "p.report")) == 0
-    assert "PASS" in capsys.readouterr().out
+    assert run("reconstruct", str(tpath), "-o", str(rpath)) == 0
+    if n == 1:  # lossless n=1: the closed form is the first start and already a root
+        assert "iterations 0" in rpath.read_text().splitlines()
+    # epoch records may come in any order: reversed, they give the same report
+    lines = tpath.read_text().splitlines(keepends=True)
+    first = next(k for k, line in enumerate(lines) if line.startswith("epoch "))
+    reversed_trace = tmp_path / "reversed.trace"
+    reversed_trace.write_text("".join(lines[:first] + lines[first:][::-1]))
+    assert run("reconstruct", str(reversed_trace), "-o", str(tmp_path / "reversed.report")) == 0
+    assert (tmp_path / "reversed.report").read_bytes() == rpath.read_bytes()
+    capsys.readouterr()
+    assert run("verify", str(tpath), str(rpath)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].startswith("PASS")
+    assert sum(line.startswith("epoch ") for line in out) == epochs
