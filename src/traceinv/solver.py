@@ -25,7 +25,9 @@ Three routes:
 ``match_solutions`` pairs a recovered dataset against a reference one;
 the residual system is invariant under any simultaneous permutation of
 the (x_i, y_i) pairs, so recovery is only identifiable up to such a
-permutation.
+permutation.  The pairing is a linear assignment, solved here in numpy
+(``_min_cost_assignment``), so scoring an attack loads no scipy: scipy
+is imported only when a start runs ``_levenberg_marquardt``.
 """
 
 from __future__ import annotations
@@ -165,11 +167,11 @@ def _levenberg_marquardt(problem, z0, cfg, bounds):
     call: MINPACK's lmder when ``bounds`` is None, else scipy's dogleg
     method with rectangular trust regions inside ``bounds = (lo, hi)``.
     Returns (z, r, iterations) where iterations counts Jacobian
-    evaluations.  scipy is imported here, on the first solve, so that
-    importing the package loads none of it.  Dogbox squares the residual
-    vector, which overflows (then gives inf - inf) once its entries pass
-    about 1e154; those warnings are silenced, so, as lmder does, it
-    returns a start that did not converge.
+    evaluations.  scipy is imported here, by the first start that runs,
+    so that importing the package loads none of it.  Dogbox squares the
+    residual vector, which overflows (then gives inf - inf) once its
+    entries pass about 1e154; those warnings are silenced, so, as lmder
+    does, it returns a start that did not converge.
     """
     from scipy.optimize import least_squares, leastsq
 
@@ -315,23 +317,58 @@ def solve_n1(problem, residual_tolerance=SolverConfig.residual_tolerance):
     return _result(problem, z, residuals(z, problem), 0, residual_tolerance)
 
 
+def _min_cost_assignment(cost):
+    """Column paired with each row of the square ``cost`` matrix so that
+    the summed cost is least: the Hungarian method as shortest augmenting
+    paths with row and column potentials, O(n^3), one vectorised pass over
+    the columns per step.  Among equal-cost pairings it returns one of
+    them.  The pairing does not depend on the scale of the costs, so they
+    are divided by the largest, which keeps the potentials finite."""
+    n = len(cost)
+    top = cost.max()
+    if top > 0:
+        cost = cost / top
+    u, v = np.zeros(n), np.zeros(n + 1)  # potentials; column n is each path's virtual start
+    row_of = np.full(n + 1, -1)          # row matched to each column, -1 if free
+    way = np.zeros(n + 1, dtype=int)     # previous column on the shortest path
+    for i in range(n):
+        row_of[n], j = i, n
+        dist, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
+        while row_of[j] >= 0:  # grow the path tree by the row matched to column j
+            used[j] = True
+            reduced = cost[row_of[j]] - u[row_of[j]] - v[:n]
+            closer = ~used[:n] & (reduced < dist[:n])
+            dist[:n][closer], way[:n][closer] = reduced[closer], j
+            j = int(np.argmin(np.where(used[:n], np.inf, dist[:n])))
+            delta = dist[j]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[~used] -= delta
+        while j != n:  # augment: shift each row on the path to the next column
+            row_of[j] = row_of[way[j]]
+            j = way[j]
+    pairing = np.empty(n, dtype=int)
+    pairing[row_of[:n]] = np.arange(n)
+    return pairing
+
+
 def match_solutions(recovered, truth):
     """Optimal pairing of recovered instances against reference instances.
 
-    Minimizes the summed |dx| + |dy| over pairings via linear assignment
-    and reports the largest coordinate error under the chosen pairing.
-    Imports scipy on first use, as ``solve`` does.
+    Minimizes the summed |dx| + |dy| over pairings with the Hungarian
+    method (``_min_cost_assignment``) and reports the largest coordinate
+    error under the chosen pairing.  Among pairings of equal summed cost
+    it returns one optimal pairing, which may differ from the one
+    ``scipy.optimize.linear_sum_assignment`` picks.  Needs numpy only.
     """
-    from scipy.optimize import linear_sum_assignment
-
     if recovered.n != truth.n:
         raise ValueError(
             f"datasets differ in size: {recovered.n} vs {truth.n}"
         )
     dx = np.abs(recovered.xs[:, None] - truth.xs[None, :])
     dy = np.abs(recovered.ys[:, None] - truth.ys[None, :])
-    rows, cols = linear_sum_assignment(dx + dy)
-    pairing = tuple(cols.tolist())  # rows is arange(n) for a square matrix
+    rows, cols = np.arange(recovered.n), _min_cost_assignment(dx + dy)
+    pairing = tuple(cols.tolist())
     max_err = float(np.max(np.maximum(dx[rows, cols], dy[rows, cols])))
     return MatchReport(pairing=pairing, max_abs_error=max_err)
 

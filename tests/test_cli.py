@@ -494,7 +494,7 @@ def test_module_entry_point_runs():
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported by the first solve or match_solutions, not by the package
+    # scipy is imported by the first solve that runs MINPACK, not by the package
     code = "import sys, traceinv, traceinv.cli; print('scipy.optimize' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", code],
@@ -504,6 +504,41 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+SCORED_ATTACK = """
+import sys
+from traceinv import Dataset, match_solutions
+from traceinv.trace import load_dataset
+from traceinv.cli import main
+
+digits = sys.argv[1:]
+assert main(["train", "--x", "0.6", "--y", "0.5", "--epochs", "4", *digits, "-o", "t.trace"]) == 0
+code = main(["reconstruct", "t.trace", "-o", "r.report"])
+if not digits:  # lossless: the closed form is a root, so no MINPACK call
+    assert code == 0 and main(["verify", "t.trace", "r.report"]) == 0
+    assert match_solutions(load_dataset("r.report"), Dataset([0.6], [0.5])).max_abs_error < 1e-12
+    three = Dataset([0.6, 0.2, 0.9], [0.5, 0.4, -0.3])
+    assert match_solutions(Dataset(three.xs[::-1], three.ys[::-1]), three).pairing == (2, 1, 0)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("digits, loaded", [([], False), (["--precision", "7"], True)],
+                         ids=["lossless", "7-digit"])
+def test_scoring_an_n1_attack_loads_scipy_only_for_minpack(tmp_path, digits, loaded):
+    # a lossless n=1 attack, verified and scored, never runs MINPACK, so it
+    # never loads scipy.optimize; a 7-digit trace has no exact root, so its
+    # solve runs MINPACK and loads it
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", SCORED_ATTACK, *digits],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_each_public_name_has_one_home():

@@ -398,7 +398,13 @@ def test_match_reports_worst_coordinate():
     assert rep.max_abs_error == pytest.approx(2e-3)
 
 
+def paired_sum(rep, recovered, truth):
+    cols = list(rep.pairing)
+    return float(np.sum(np.abs(recovered.xs - truth.xs[cols]) + np.abs(recovered.ys - truth.ys[cols])))
+
+
 def test_match_agrees_with_brute_force(rng):
+    cases = []
     for _ in range(50):
         n = int(rng.integers(2, 5))
         truth = random_dataset(rng, n)
@@ -407,13 +413,47 @@ def test_match_agrees_with_brute_force(rng):
             truth.xs[perm] + rng.normal(0, 0.01, n),
             truth.ys[perm] + rng.normal(0, 0.01, n),
         )
-        rep = match_solutions(noisy, truth)
-        hungarian_sum = sum(
-            abs(noisy.xs[i] - truth.xs[rep.pairing[i]])
-            + abs(noisy.ys[i] - truth.ys[rep.pairing[i]])
-            for i in range(n)
-        )
-        assert hungarian_sum == pytest.approx(brute_force_best_sum(noisy, truth))
+        cases.append((noisy, truth))
+    for n in range(1, 8):
+        for _ in range(3):
+            # small integers: many pairings share the least sum
+            small = [Dataset(rng.integers(0, 3, n).astype(float), rng.integers(0, 3, n).astype(float))
+                     for _ in range(2)]
+            # duplicate instances, the recovered side permuted
+            dup = Dataset(rng.choice(rng.uniform(0, 1, 2), n), rng.choice(rng.uniform(0, 1, 2), n))
+            perm = rng.permutation(n)
+            cases += [tuple(small), (Dataset(dup.xs[perm], dup.ys[perm]), dup)]
+    for recovered, truth in cases:
+        rep = match_solutions(recovered, truth)
+        assert sorted(rep.pairing) == list(range(truth.n))
+        assert paired_sum(rep, recovered, truth) == pytest.approx(brute_force_best_sum(recovered, truth))
+
+
+def test_match_total_equals_scipy(rng):
+    from scipy.optimize import linear_sum_assignment
+
+    for n in (8, 13, 21, 34, 50):
+        for ties in (False, True):
+            draw = (lambda: rng.integers(0, 4, n).astype(float)) if ties else (lambda: rng.uniform(-1, 1, n))
+            recovered, truth = Dataset(draw(), draw()), Dataset(draw(), draw())
+            cost = (np.abs(recovered.xs[:, None] - truth.xs[None, :])
+                    + np.abs(recovered.ys[:, None] - truth.ys[None, :]))
+            rows, cols = linear_sum_assignment(cost)
+            rep = match_solutions(recovered, truth)
+            assert sorted(rep.pairing) == list(range(n))
+            assert paired_sum(rep, recovered, truth) == pytest.approx(cost[rows, cols].sum(), rel=1e-12)
+            assert match_solutions(recovered, truth) == rep  # same input, same pairing
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 4e307])
+def test_match_pairs_any_scale_without_warning(rng, scale):
+    # coordinates up to 4e307 keep every |dx| + |dy| finite; the pairing's
+    # potentials must stay finite too (a RuntimeWarning is an error here)
+    for _ in range(30):
+        unit = [Dataset(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(2)]
+        rep = match_solutions(*(Dataset(d.xs * scale, d.ys * scale) for d in unit))
+        assert paired_sum(rep, *unit) == pytest.approx(brute_force_best_sum(*unit))
+        assert np.isfinite(rep.max_abs_error)
 
 
 def test_match_size_mismatch():
