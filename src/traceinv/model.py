@@ -94,9 +94,7 @@ def _gradient(w, b, xs, ys):
     _, _, Z = _tanh_terms(w, b, xs, ys)
     if isinstance(xs, float):  # one instance: the mean of v is v
         return 2.0 * (xs * Z), 2.0 * Z
-    n = len(xs)
-    # bitwise np.mean for float64 (add.reduce, then / count) without its wrapper
-    return 2.0 * (float(np.add.reduce(xs * Z)) / n), 2.0 * (float(np.add.reduce(Z)) / n)
+    return 2.0 * float(np.mean(xs * Z)), 2.0 * float(np.mean(Z))
 
 
 def forward(params, xs):

@@ -38,14 +38,17 @@ a ``magic version`` header, ``key value`` fields, and one
 same instance records plus convergence fields, so ``load_dataset`` (and
 ``traceinv verify``) accepts ``reconstruct`` output directly.
 
-Records of one type may come in any order, but their indices (``j`` of
-``epoch`` and ``debug``, ``i`` of ``instance``) must cover 0..count-1
-exactly once, the count being the declared ``epochs`` or ``n``.  A wrong
-number of records or an index out of range or repeated raises
-``TraceValidationError`` with rule ``epoch-contiguous`` for ``epoch``
-records and ``debug-shape`` for ``debug`` records (which also raise it
-unless each holds ``n`` yhat values).  For ``instance`` records a wrong
-number raises ``instance-count`` and a bad index ``instance-contiguous``.
+The declared counts, ``n`` of all three formats and a trace's
+``epochs``, must be integers >= 1 (``TraceValidationError`` with rule
+``n-positive`` or ``epochs-positive``).  Records of one type may come in
+any order, but their indices (``j`` of ``epoch`` and ``debug``, ``i`` of
+``instance``) must cover 0..count-1 exactly once, the count being the
+declared ``epochs`` or ``n``.  A wrong number of records or an index out
+of range or repeated raises ``TraceValidationError`` with rule
+``epoch-contiguous`` for ``epoch`` records and ``debug-shape`` for
+``debug`` records (which also raise it unless each holds ``n`` yhat
+values).  For ``instance`` records a wrong number raises
+``instance-count`` and a bad index ``instance-contiguous``.
 The debug block is optional; when present it covers every epoch.
 
 Each file is read in one pass over its lines, which checks the header
@@ -130,11 +133,6 @@ def _fields_equal(self, other):
                for f in fields(self) if f.compare)
 
 
-# the ABCs alone accept the same values; int and float first skip their slower lookup
-_INTEGRAL = (int, numbers.Integral)
-_REAL = (float, int, numbers.Real)
-
-
 def _checked(name, value, expected, ge=-math.inf, le=math.inf, gt=None, integer=False,
              rule=None):
     """The one check of every numeric field: ``value`` unchanged if it is
@@ -146,7 +144,7 @@ def _checked(name, value, expected, ge=-math.inf, le=math.inf, gt=None, integer=
     so a long list or int is cut short.  The default bounds are infinite
     floats, so an ``np.float32`` compares without a cast overflow."""
     try:
-        ok = (isinstance(value, _INTEGRAL if integer else _REAL)
+        ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
               and not isinstance(value, bool)
               and (integer or math.isfinite(value))
               and ge <= value <= le and (gt is None or value > gt))
@@ -400,10 +398,12 @@ def _read(source, magics, fields, rows):
     which must name a key of ``magics`` and the format version.
     ``magics`` maps each accepted magic to the optional fields it adds,
     whose value is checked only for count and repetition.  ``fields``
-    maps each required field to the type of its value.  ``rows`` maps
-    each row record to its usage line; a usage ending in ``...>`` takes
-    any number of trailing values.  Returns the field values (None for
-    an optional one) and, for each row record, its ``(line_number,
+    maps each required field to the type of its value; once none is
+    missing, each ``int`` field, a count, must be >= 1
+    (``TraceValidationError`` with rule ``<field>-positive``).  ``rows``
+    maps each row record to its usage line; a usage ending in ``...>``
+    takes any number of trailing values.  Returns the field values (None
+    for an optional one) and, for each row record, its ``(line_number,
     tokens)`` list for the caller to convert by column.
     """
     if hasattr(source, "read"):
@@ -453,6 +453,9 @@ def _read(source, magics, fields, rows):
             raise TraceValidationError(
                 f"missing required field '{key}'", rule="missing-field"
             )
+    for key, kind in fields.items():
+        if kind is int:
+            _checked(key, values[key], ">= 1", ge=1, integer=True, rule=f"{key}-positive")
     return values, found
 
 
@@ -510,9 +513,7 @@ def load_trace(source):
         {"eta": float, "n": int, "epochs": int},
         {"epoch": "epoch <j> <w> <b>", "debug": "debug <j> <loss> <yhat...>"},
     )
-    n = _checked("n", fields["n"], ">= 1", ge=1, integer=True, rule="n-positive")
-    epochs = _checked("epochs", fields["epochs"], ">= 1", ge=1, integer=True,
-                      rule="epochs-positive")
+    n, epochs = fields["n"], fields["epochs"]
     epoch_rows = _indexed(rows, "epoch", epochs, "epoch-contiguous")
     ws = np.array(_numbers(float, epoch_rows, 2))
     bs = np.array(_numbers(float, epoch_rows, 3))

@@ -68,6 +68,12 @@ def test_dataset_file_validation(tmp_path):
     with pytest.raises(TraceValidationError) as excinfo:
         load_text("traceinv-dataset 1\nn 4611686018427387904\ninstance 0 0.6 0.5\n")
     assert excinfo.value.rule == "instance-count"
+    # the declared count is checked as a trace's n is, in both formats
+    for magic in ("traceinv-dataset", "traceinv-report"):
+        for n in ("0", "-1"):
+            with pytest.raises(TraceValidationError, match=f"n must be >= 1, got {n}") as excinfo:
+                load_text(f"{magic} 1\nn {n}\n")
+            assert excinfo.value.rule == "n-positive"
     # instance records may come in any order
     assert load_text(
         "traceinv-dataset 1\nn 2\ninstance 1 0.2 0.4\ninstance 0 0.6 0.5\n"

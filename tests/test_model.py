@@ -1,6 +1,8 @@
 """Trainer checks against the scalar reference loop and finite differences."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -249,10 +251,11 @@ def test_stationary_dataset_leaves_parameters_unchanged():
 
 def test_train_config_rejects_bad_values():
     # a Python int beyond float64's range is no finite real number either
-    for eta in (0.0, -0.1, math.inf, math.nan, np.array([0.1]), "0.1", None, True, 10**400):
+    for eta in (0.0, -0.1, math.inf, math.nan, np.array([0.1]), "0.1", None, True, 10**400,
+                np.bool_(True), Decimal("0.1")):
         with pytest.raises(ValueError, match="^eta must be a finite real number > 0"):
             TrainConfig(eta=eta, epochs=5)
-    for epochs in (0, -3, 2.5, 3.0, True, np.array([3]), "3"):
+    for epochs in (0, -3, 2.5, 3.0, True, np.bool_(True), Decimal(3), np.array([3]), "3"):
         with pytest.raises(ValueError, match="^epochs must be an integer >= 1"):
             TrainConfig(eta=0.1, epochs=epochs)
     for w, b, name in ((np.array([0.5]), 0.5, "w"), (0.5, math.nan, "b"), (0.5, -math.inf, "b"),
@@ -260,13 +263,14 @@ def test_train_config_rejects_bad_values():
                        (10**400, 0.5, "w"), (0.5, -10**400, "b"), (True, 0.5, "w")):
         with pytest.raises(ValueError, match=f"^{name} must be a finite real number"):
             Params(w, b)
-    # numpy scalars and Python ints are numbers too, and train steps in float64
-    cfg = TrainConfig(eta=np.float32(0.5), epochs=np.int64(4), init=Params(1, np.float32(0.25)))
+    # numpy scalars, Python ints and fractions are numbers too, and train steps in float64
     want = TrainConfig(eta=0.5, epochs=4, init=Params(1.0, 0.25))
-    for n in (1, 2):
-        data = random_dataset(np.random.default_rng(n), n)
-        assert np.array_equal(train(data, cfg).ws, train(data, want).ws)
-        assert np.array_equal(train(data, cfg).bs, train(data, want).bs)
+    for eta in (np.float32(0.5), Fraction(1, 2)):
+        cfg = TrainConfig(eta=eta, epochs=np.int64(4), init=Params(1, np.float32(0.25)))
+        for n in (1, 2):
+            data = random_dataset(np.random.default_rng(n), n)
+            assert np.array_equal(train(data, cfg).ws, train(data, want).ws)
+            assert np.array_equal(train(data, cfg).bs, train(data, want).bs)
 
 
 def test_train_divergence_raises_and_names_epoch():

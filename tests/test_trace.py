@@ -3,6 +3,9 @@
 import copy
 import io
 import re
+from decimal import Decimal
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +28,15 @@ from traceinv import (
     save_trace,
     train,
 )
-from traceinv.trace import format_float, load_dataset
+from traceinv.trace import (
+    DATASET_MAGIC,
+    MAGIC,
+    REPORT_MAGIC,
+    format_float,
+    load_dataset,
+    save_dataset,
+    save_report,
+)
 
 from conftest import make_trace, random_dataset
 
@@ -435,17 +446,94 @@ def test_validation_rules():
         expect_validation_error(two_epochs + debug, "debug-shape")
 
 
+# tokens a mutated file may hold: numbers that are non-finite, overflowing,
+# huge, empty, signed, hexadecimal or non-ASCII, then the formats' words
+FUZZ_NUMBERS = ["nan", "-inf", "1e400", "1" * 400, "-" + "7" * 400, "", '""', "+1", "0x10",
+                "\u0663", "\uff11\uff12", "0", "-1", "2", "0.5"]
+FUZZ_WORDS = ["x", "#", "epoch", "debug", "instance", "n", "eta", "epochs", "converged",
+              MAGIC, DATASET_MAGIC, REPORT_MAGIC]
+
+
+def _fuzz_bases():
+    """A trace (with and without debug, lossless and 3-digit), a dataset
+    and a report of each n in 1..3, as (loader, lines of tokens)."""
+    rng = np.random.default_rng(0)
+    bases = []
+    for n in (1, 2, 3):
+        data = random_dataset(rng, n)
+        tr = train(data, TrainConfig(eta=0.1, epochs=n + 1), debug=n != 2)
+        report = SimpleNamespace(recovered=data, converged=True, residual_norm=1e-13,
+                                 iterations=3, starts_tried=1)
+        texts = [(load_trace, dumps_trace(tr, digits)) for digits in (None, 3)]
+        for save in (save_dataset, save_report):
+            buf = io.StringIO()
+            save(report if save is save_report else data, buf)
+            texts.append((load_dataset, buf.getvalue()))
+        bases += [(load, [line.split() for line in text.splitlines()]) for load, text in texts]
+    return bases
+
+
+def _mutated_files(seed, count):
+    """``count`` seeded (loader, text) pairs: a base file with one to three
+    of its tokens edited, added or dropped, or its records added or dropped."""
+    rng = np.random.default_rng(seed)
+    bases = _fuzz_bases()
+    for _ in range(count):
+        load, lines = bases[rng.integers(len(bases))]
+        lines = [list(tokens) for tokens in lines]
+        for _ in range(rng.integers(1, 4)):
+            # the header line one time in ten
+            i = int(rng.integers(0 if rng.random() < 0.1 or len(lines) < 2 else 1, len(lines)))
+            tokens = lines[i]
+            pool = FUZZ_NUMBERS if rng.random() < 0.8 else FUZZ_WORDS
+            token = pool[rng.integers(len(pool))]
+            action = rng.choice(5, p=[0.5, 0.1, 0.1, 0.15, 0.15])
+            if action == 0 and tokens:  # edit a token
+                tokens[rng.integers(len(tokens))] = token
+            elif action == 1:  # add a token
+                tokens.insert(int(rng.integers(len(tokens) + 1)), token)
+            elif action == 2 and tokens:  # drop a token
+                del tokens[rng.integers(len(tokens))]
+            elif action == 3:  # add a record: a copy of one, or the words and numbers given
+                new = list(lines[rng.integers(len(lines))]) if rng.random() < 0.5 else [
+                    FUZZ_WORDS[rng.integers(len(FUZZ_WORDS))], token, token, token
+                ]
+                lines.insert(int(rng.integers(len(lines) + 1)), new)
+            elif len(lines) > 1:  # drop a record
+                del lines[i]
+        yield load, "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+def test_readers_raise_only_their_documented_errors_on_mutated_files():
+    # anything else would reach the CLI as a traceback instead of exit code 2
+    escapes, loaded = [], 0
+    for load, text in _mutated_files(seed=2026, count=2000):
+        try:
+            load(io.StringIO(text))
+            loaded += 1
+        except ValueError:  # TraceParseError and TraceValidationError among them
+            pass
+        except Exception as exc:  # every other type is the failure
+            escapes.append((text, repr(exc)))
+    assert not escapes, f"{len(escapes)} escapes, the first: {escapes[0]}"
+    assert 0 < loaded < 2000  # the mutations both keep and break files
+
+
 def test_paramtrace_invariants_checked_on_construction():
     with pytest.raises(TraceValidationError):
         ParamTrace(eta=0.1, n=1, ws=np.array([0.5]), bs=np.array([0.5, 0.4]))
-    for eta in (0.0, 10**400, -10**400, True, "0.1", np.array([0.1])):
+    for eta in (0.0, 10**400, -10**400, True, np.bool_(True), Decimal("0.1"), "0.1",
+                np.array([0.1])):
         with pytest.raises(TraceValidationError, match="eta-positive"):
             make_trace(eta, 1, [0.5], [0.5])
-    for n in (0, 2.7, True, "3", np.array([1]), np.inf):
+    for n in (0, 2.7, True, np.bool_(True), Decimal(3), "3", np.array([1]), np.inf):
         with pytest.raises(TraceValidationError, match="n-positive"):
             make_trace(0.1, n, [0.5], [0.5])
     tr = ParamTrace(eta=np.float32(0.5), n=np.int64(1), ws=[0.5], bs=[0.5], precision=np.int64(7))
     assert (tr.eta, tr.n, tr.precision) == (0.5, 1, 7)
+    # numbers.Real and numbers.Integral decide, numpy's registered types included
+    tr = ParamTrace(eta=Fraction(1, 3), n=np.int64(3), ws=[0.5], bs=[0.5])
+    assert (tr.eta, tr.n) == (1 / 3, 3)
     with pytest.raises(TraceValidationError):
         make_trace(0.1, 1, [np.nan], [0.5])
     for precision in (0, -3, 18, 10**400, 2.5, True, "7", np.array([7])):
