@@ -15,10 +15,11 @@ Three routes:
   rectangular trust regions (``least_squares(method="dogbox")``) instead,
   since lmder supports neither.  Each step has one owner:
   ``_start_points`` builds every start and clips it into the box,
-  ``solve`` chooses the routine once per call and keeps the best start
-  (skipping one that is already a root), ``_levenberg_marquardt`` runs
-  the chosen routine from one start, and ``_result`` judges every
-  answer, for ``solve_n1`` too.
+  ``_run_start`` runs one start (returning the first start as it is if
+  it is already a root, else choosing lmder or dogbox), ``_result``
+  judges every answer, for ``solve_n1`` too, and ``solve`` is only the
+  multi-start policy: it keeps the best start and stops at the first
+  within precision.
 * ``verify_reconstruction`` -- the independent check: retrain on the
   recovered dataset and compare the resulting trace epoch by epoch.
 
@@ -27,7 +28,7 @@ the residual system is invariant under any simultaneous permutation of
 the (x_i, y_i) pairs, so recovery is only identifiable up to such a
 permutation.  The pairing is a linear assignment, solved here in numpy
 (``_min_cost_assignment``), so scoring an attack loads no scipy: scipy
-is imported only when a start runs ``_levenberg_marquardt``.
+is imported only when ``_run_start`` runs lmder or dogbox.
 """
 
 from __future__ import annotations
@@ -162,35 +163,6 @@ class VerifyReport:
     __eq__ = _fields_equal
 
 
-def _levenberg_marquardt(problem, z0, cfg, bounds):
-    """One damped least-squares run on ``problem`` from ``z0``, one scipy
-    call: MINPACK's lmder when ``bounds`` is None, else scipy's dogleg
-    method with rectangular trust regions inside ``bounds = (lo, hi)``.
-    Returns (z, r, iterations) where iterations counts Jacobian
-    evaluations.  scipy is imported here, by the first start that runs,
-    so that importing the package loads none of it.  Dogbox squares the
-    residual vector, which overflows (then gives inf - inf) once its
-    entries pass about 1e154; those warnings are silenced, so, as lmder
-    does, it returns a start that did not converge.
-    """
-    from scipy.optimize import least_squares, leastsq
-
-    if bounds is None:
-        z, _, info, _, _ = leastsq(
-            residuals, z0, args=(problem,), Dfun=jacobian, full_output=True,
-            ftol=1e-15, xtol=cfg.step_tolerance, gtol=0.0,
-            maxfev=2 * cfg.max_iterations,
-        )
-        return z, info["fvec"], info["njev"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = least_squares(
-            residuals, z0, jac=jacobian, args=(problem,), method="dogbox",
-            bounds=bounds, x_scale="jac", ftol=1e-15, xtol=cfg.step_tolerance, gtol=None,
-            max_nfev=2 * cfg.max_iterations,
-        )
-    return sol.x, sol.fun, sol.njev
-
-
 def _closed_form(problem):
     """The n=1 closed form from the first transition as z = (x, y), the
     one place it is computed.  With t_w = n/(2 eta) (w0 - w1) and t_b =
@@ -246,6 +218,46 @@ def _result(problem, z, r, iterations, tolerance):
     )
 
 
+def _run_start(problem, z0, cfg, first):
+    """One start of ``solve`` from ``z0``, judged by ``_result``.
+
+    Only the ``first`` start (``initial_guess``, the n=1 closed form or
+    the default) is checked for being a root already, since a random
+    draw is one with probability zero: a root is returned as it is, with
+    0 iterations, before scipy is imported.  Otherwise the start runs one
+    scipy call: MINPACK's lmder when there is no box and the problem is
+    determined, else scipy's dogleg method with
+    rectangular trust regions inside ``cfg.box_bounds`` or (-inf, inf),
+    since lmder handles neither a box nor fewer equations than unknowns.
+    Iterations count Jacobian evaluations.  scipy is imported here, by
+    the first start that runs, so that importing the package loads none
+    of it.  Dogbox squares the residual vector, which overflows (then
+    gives inf - inf) once its entries pass about 1e154; those warnings
+    are silenced, so, as lmder does, it returns a start that did not
+    converge.
+    """
+    if first:
+        result = _result(problem, z0, residuals(z0, problem), 0, cfg.residual_tolerance)
+        if result.converged:
+            return result
+    from scipy.optimize import least_squares, leastsq
+
+    if cfg.box_bounds is None and problem.is_determined:
+        z, _, info, _, _ = leastsq(
+            residuals, z0, args=(problem,), Dfun=jacobian, full_output=True,
+            ftol=1e-15, xtol=cfg.step_tolerance, gtol=0.0, maxfev=2 * cfg.max_iterations,
+        )
+        return _result(problem, z, info["fvec"], info["njev"], cfg.residual_tolerance)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = least_squares(
+            residuals, z0, jac=jacobian, args=(problem,), method="dogbox",
+            bounds=(-np.inf, np.inf) if cfg.box_bounds is None else cfg.box_bounds,
+            x_scale="jac", ftol=1e-15, xtol=cfg.step_tolerance, gtol=None,
+            max_nfev=2 * cfg.max_iterations,
+        )
+    return _result(problem, sol.x, sol.fun, sol.njev, cfg.residual_tolerance)
+
+
 def solve(problem, cfg=SolverConfig()):
     """Recover the dataset behind ``problem`` by multi-start damped least
     squares.
@@ -257,35 +269,25 @@ def solve(problem, cfg=SolverConfig()):
     start within the rounding is as good an answer as the trace supports,
     and it is returned with ``within_precision=True`` but
     ``converged=False``.  If no start stops the loop, returns the best
-    start found with ``converged=False`` rather than raising.  The routine
-    is chosen once per call: dogbox when ``cfg.box_bounds`` is given or
-    the problem is underdetermined, else lmder.  A start that is already
-    a root is returned as it is, with 0 iterations; at n=1 with no
+    start found with ``converged=False`` rather than raising.  The starts
+    come from ``_start_points``, already clipped into the box, one at a
+    time, so a search that stops at the first start seeds no random
+    generator; ``_run_start`` runs each one, and its docstring says which
+    routine runs and when a start is returned untouched.  At n=1 with no
     ``initial_guess`` the first start is ``solve_n1``'s closed form, so a
-    lossless n=1 trace is solved with no MINPACK call.  The starts come
-    from ``_start_points``, already clipped into the box, one at a time,
-    so a search that stops at the first start seeds no random generator.  An
-    exact trace has quantum 0, so only convergence stops it.  On hard
-    instances the root found can differ between runs, because MINPACK's
-    arithmetic in ``leastsq`` depends on memory layout.
+    lossless n=1 trace is solved with no MINPACK call.  An exact trace
+    has quantum 0, so only convergence stops it.  On hard instances the
+    root found can differ between runs, because MINPACK's arithmetic in
+    ``leastsq`` depends on memory layout.
     """
     if not problem.is_determined and not cfg.allow_underdetermined:
         raise InsufficientTraceError(
             f"need at least {problem.n + 1} epochs for {problem.num_unknowns} unknowns, "
             f"trace has {problem.trace.epochs}; set allow_underdetermined to solve anyway"
         )
-    # lmder (bounds None) handles neither a box nor fewer equations than
-    # unknowns; dogbox handles both
-    bounds = cfg.box_bounds
-    if bounds is None and not problem.is_determined:
-        bounds = (-np.inf, np.inf)
-
     best = None
     for starts_tried, z0 in enumerate(_start_points(problem, cfg), start=1):
-        result = _result(problem, z0, residuals(z0, problem), 0, cfg.residual_tolerance)
-        if not result.converged:  # not already a root
-            z, r, iterations = _levenberg_marquardt(problem, z0, cfg, bounds)
-            result = _result(problem, z, r, iterations, cfg.residual_tolerance)
+        result = _run_start(problem, z0, cfg, starts_tried == 1)
         if best is None or result.within_precision or result.residual_norm < best.residual_norm:
             best = result
         if result.within_precision:

@@ -57,7 +57,10 @@ index, then w and b, of ``epoch`` records; the index, each yhat column
 and the loss, in that order, of ``debug`` records; the index, then x and
 y, of ``instance`` records; and a field's value as a one-row column.  A
 token that is not a number raises ``TraceParseError`` naming its line,
-the first bad line of the first bad column in that order.  The trace
+the first bad line of the first bad column in that order.  So does a
+token that ``int`` or ``float`` reads but the writers never produce: one
+holding ``_``, a leading ``+`` (an exponent's ``+`` is valid) or a
+non-ASCII character.  The trace
 writer renders every epoch row through one ``%`` template, which
 ``format_float`` shares.
 """
@@ -371,23 +374,29 @@ def save_report(result, destination):
     )
 
 
-def _numbers(kind, rows, column):
+def _numbers(kind, rows, column, strict):
     """``kind(tokens[column])`` of every ``(line_number, tokens)`` row,
     as a list, converted in one ``map`` over the column.  Only after a
-    failure is the column converted again token by token, so the
-    ``TraceParseError`` names the first bad line."""
+    failure, or when ``strict``, is the column checked token by token,
+    so the ``TraceParseError`` names the first bad line.  The token
+    check also rejects spellings that ``int`` and ``float`` accept but
+    the writers never produce: a ``_``, a leading ``+`` or a non-ASCII
+    character.  ``_read`` sets ``strict`` only when the file text holds
+    one of these characters, so a file without them skips the check."""
     tokens = [t[column] for _, t in rows]
-    try:
-        return list(map(kind, tokens))
-    except ValueError:
-        for (lineno, _), token in zip(rows, tokens):
-            try:
-                kind(token)
-            except ValueError:
-                raise TraceParseError(
-                    f"not a valid {kind.__name__}: {token!r}", line=lineno
-                ) from None
-        raise
+    if not strict:
+        try:
+            return list(map(kind, tokens))
+        except ValueError:
+            pass
+    for (lineno, _), token in zip(rows, tokens):
+        try:
+            if "_" in token or token[0] == "+" or not token.isascii():
+                raise ValueError
+            kind(token)
+        except ValueError:
+            raise TraceParseError(f"not a valid {kind.__name__}: {token!r}", line=lineno) from None
+    return list(map(kind, tokens))
 
 
 def _read(source, magics, fields, rows):
@@ -403,8 +412,10 @@ def _read(source, magics, fields, rows):
     (``TraceValidationError`` with rule ``<field>-positive``).  ``rows``
     maps each row record to its usage line; a usage ending in ``...>``
     takes any number of trailing values.  Returns the field values (None
-    for an optional one) and, for each row record, its ``(line_number,
-    tokens)`` list for the caller to convert by column.
+    for an optional one); for each row record, its ``(line_number,
+    tokens)`` list for the caller to convert by column; and whether the
+    text holds a ``_``, ``+`` or non-ASCII character, the ``strict`` of
+    ``_numbers``, tested once per file.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -413,6 +424,7 @@ def _read(source, magics, fields, rows):
             text = fh.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    strict = "_" in text or "+" in text or not text.isascii()
     arity = {key: len(usage.split()) for key, usage in rows.items()}
     found = {key: [] for key in rows}
     values = {}
@@ -443,7 +455,8 @@ def _read(source, magics, fields, rows):
                 raise TraceValidationError(
                     f"duplicate field '{key}'", rule="duplicate-field"
                 )
-            values[key] = _numbers(fields[key], [(lineno, tokens)], 1)[0] if key in fields else None
+            values[key] = (_numbers(fields[key], [(lineno, tokens)], 1, strict)[0]
+                           if key in fields else None)
         else:
             raise TraceParseError(f"unknown record type {key!r}", line=lineno)
     if optional is None:
@@ -456,7 +469,7 @@ def _read(source, magics, fields, rows):
     for key, kind in fields.items():
         if kind is int:
             _checked(key, values[key], ">= 1", ge=1, integer=True, rule=f"{key}-positive")
-    return values, found
+    return values, found, strict
 
 
 def _precision(rows):
@@ -474,10 +487,10 @@ def _precision(rows):
     return digits or None
 
 
-def _indexed(rows, key, count, rule, count_rule=None):
+def _indexed(rows, key, count, strict, rule, count_rule=None):
     """The ``(line_number, tokens)`` rows of record ``key``, in index order.
 
-    ``rows`` is the row map that ``_read`` returns.  Each row's
+    ``rows`` and ``strict`` are as ``_read`` returns them.  Each row's
     ``tokens[1]`` is its index, and the indices must be 0..count-1, each
     once, in any order; one loop places every row at its index.  A
     number of rows other than ``count`` raises ``count_rule`` (default
@@ -490,7 +503,7 @@ def _indexed(rows, key, count, rule, count_rule=None):
             f"expected {count} '{key}' records, found {len(found)}", rule=count_rule or rule
         )
     ordered = [None] * count
-    for j, row in zip(_numbers(int, found, 1), found):
+    for j, row in zip(_numbers(int, found, 1, strict), found):
         if not 0 <= j < count or ordered[j] is not None:
             raise TraceValidationError(
                 f"line {row[0]}: '{key}' indices must cover 0..{count - 1} exactly once",
@@ -507,27 +520,27 @@ def load_trace(source):
     by index.  The returned trace records the precision of its epoch
     values.
     """
-    fields, rows = _read(
+    fields, rows, strict = _read(
         source,
         {MAGIC: ()},
         {"eta": float, "n": int, "epochs": int},
         {"epoch": "epoch <j> <w> <b>", "debug": "debug <j> <loss> <yhat...>"},
     )
     n, epochs = fields["n"], fields["epochs"]
-    epoch_rows = _indexed(rows, "epoch", epochs, "epoch-contiguous")
-    ws = np.array(_numbers(float, epoch_rows, 2))
-    bs = np.array(_numbers(float, epoch_rows, 3))
+    epoch_rows = _indexed(rows, "epoch", epochs, strict, "epoch-contiguous")
+    ws = np.array(_numbers(float, epoch_rows, 2, strict))
+    bs = np.array(_numbers(float, epoch_rows, 3, strict))
 
     debug = None
     if rows["debug"]:
-        debug_rows = _indexed(rows, "debug", epochs, "debug-shape")
+        debug_rows = _indexed(rows, "debug", epochs, strict, "debug-shape")
         if any(len(t) != n + 3 for _, t in debug_rows):
             raise TraceValidationError(
                 f"debug records must give one loss and {n} yhat values", rule="debug-shape"
             )
         debug = TraceDebug(
-            yhat=np.column_stack([_numbers(float, debug_rows, k) for k in range(3, n + 3)]),
-            loss=np.array(_numbers(float, debug_rows, 2)),
+            yhat=np.column_stack([_numbers(float, debug_rows, k, strict) for k in range(3, n + 3)]),
+            loss=np.array(_numbers(float, debug_rows, 2, strict)),
         )
 
     return ParamTrace(
@@ -542,16 +555,16 @@ _REPORT_FIELDS = ("converged", "residual_norm", "iterations", "starts_tried")
 def load_dataset(source):
     """Read a dataset from a dataset file or a reconstruction report;
     ``instance`` records may come in any order and are stored by index."""
-    fields, rows = _read(
+    fields, rows, strict = _read(
         source,
         {DATASET_MAGIC: (), REPORT_MAGIC: _REPORT_FIELDS},
         {"n": int},
         {"instance": "instance <i> <x> <y>"},
     )
     instance_rows = _indexed(
-        rows, "instance", fields["n"], "instance-contiguous", count_rule="instance-count"
+        rows, "instance", fields["n"], strict, "instance-contiguous", count_rule="instance-count"
     )
-    return Dataset(_numbers(float, instance_rows, 2), _numbers(float, instance_rows, 3))
+    return Dataset(*(_numbers(float, instance_rows, k, strict) for k in (2, 3)))
 
 
 def dumps_trace(trace, digits=None):

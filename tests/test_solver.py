@@ -195,7 +195,7 @@ def test_solve_requires_enough_epochs(rng):
     assert np.isfinite(res.residual_norm)
 
 
-def test_solve_nonconvergence_is_reported_not_raised():
+def test_solve_nonconvergence_is_reported_not_raised(monkeypatch):
     # 7-digit rounding makes the 5-epoch system inconsistent; built in
     # memory, the rounded trace records no precision (quantum 0), so no
     # start stops the loop early
@@ -206,6 +206,21 @@ def test_solve_nonconvergence_is_reported_not_raised():
     assert not res.converged
     assert res.starts_tried == 2
     assert res.residual_norm > 1e-10
+    # the first start (a given guess or the n=1 closed form) may already be
+    # a root, a random draw cannot: only the first is evaluated before the
+    # solver runs, so it is evaluated exactly once more than each other start
+    cfg = SolverConfig(multistart_count=3)
+    starts = list(_start_points(p, cfg))
+    calls = [0] * len(starts)
+
+    def counting(z, problem):
+        for k, start in enumerate(starts):
+            calls[k] += np.array_equal(z, start)
+        return residuals(z, problem)
+
+    monkeypatch.setattr("traceinv.solver.residuals", counting)
+    assert solve(p, cfg).starts_tried == 3
+    assert calls[0] == calls[1] + 1 == calls[2] + 1
 
 
 @pytest.mark.parametrize("n, epochs", [(1, 4), (2, 5)])
@@ -241,6 +256,12 @@ def test_box_bounds_clip_the_iterates(rng):
     assert np.all(res.recovered.ys >= -1.0) and np.all(res.recovered.ys <= 1.0)
     if res.converged:
         assert match_solutions(res.recovered, data).max_abs_error < 1e-6
+    # a bare 2-element array is the same box as the pair, to the bit
+    same = solve(p, SolverConfig(box_bounds=np.array([-1.0, 1.0])))
+    assert (same.recovered.xs.tobytes(), same.recovered.ys.tobytes(), same.residual_norm,
+            same.iterations, same.converged, same.starts_tried) == (
+        res.recovered.xs.tobytes(), res.recovered.ys.tobytes(), res.residual_norm,
+        res.iterations, res.converged, res.starts_tried)
     # a box that holds neither the default start (0.5, 0) nor the given
     # guess: the start is clipped into it, and the secret is recovered
     secret = Dataset([0.7], [0.8])

@@ -296,24 +296,39 @@ def test_parse_errors_name_the_line():
         with pytest.raises(TraceParseError, match="record needs") as excinfo:
             load(io.StringIO(text))
         assert excinfo.value.line == line
+    # spellings that int and float accept but the writers never produce: a
+    # "_", a leading "+" or a non-ASCII digit
+    for load, text, line in [
+        (load_trace, HEADER + "eta 0.1\nn 1\nepochs 1\nepoch 0 0.5_0 0.5\n", 5),
+        (load_trace, HEADER + "eta 0.1\nn 1\nepochs 2\nepoch 0 0.5 0.5\nepoch +1 0.4 0.4\n", 6),
+        (load_dataset, "traceinv-dataset 1\nn \u0661\ninstance 0 0.6 0.5\n", 2),
+    ]:
+        with pytest.raises(TraceParseError, match="not a valid") as excinfo:
+            load(io.StringIO(text))
+        assert excinfo.value.line == line
+    # an exponent's "+" is the writers' own, and a comment may hold anything
+    tr = loads_trace(HEADER + "# +_\u00e9\neta 1e+0\nn 1\nepochs 1\nepoch 0 1e+20 -0.5\n")
+    assert (tr.eta, tr.ws[0], tr.bs[0]) == (1.0, 1e20, -0.5)
     # late bad tokens in a long trace: the index column is converted first,
     # then w, then b, each naming its first bad line even when a later
     # column's bad token sits on an earlier line
     rows = [["epoch", str(j), "0.5", "0.25"] for j in range(600)]
-    bad = [(590, 1, "5x9"), (570, 2, "0.5.1"), (550, 3, "nan?")]  # (epoch, column, token)
-    for row, column, token in bad:
-        rows[row][column] = token
 
     def long_trace():
         return HEADER + "eta 0.1\nn 1\nepochs 600\n" + "".join(" ".join(r) + "\n" for r in rows)
 
-    for row, column, token in bad:
-        with pytest.raises(TraceParseError, match="not a valid") as excinfo:
-            loads_trace(long_trace())
-        assert excinfo.value.line == row + 5  # the header and three fields come first
-        assert repr(token) in str(excinfo.value)
-        rows[row][column] = str(row) if column == 1 else "0.5"
-    assert loads_trace(long_trace()).epochs == 600
+    # (epoch, column, token); the second set holds only strict-spelling faults
+    for bad in ([(590, 1, "5x9"), (570, 2, "0.5.1"), (550, 3, "nan?")],
+                [(590, 1, "+590"), (570, 2, "0.5_1"), (550, 3, "0.\u0665")]):
+        for row, column, token in bad:
+            rows[row][column] = token
+        for row, column, token in bad:
+            with pytest.raises(TraceParseError, match="not a valid") as excinfo:
+                loads_trace(long_trace())
+            assert excinfo.value.line == row + 5  # the header and three fields come first
+            assert repr(token) in str(excinfo.value)
+            rows[row][column] = str(row) if column == 1 else "0.5"
+        assert loads_trace(long_trace()).epochs == 600
     rows = [f"instance {i} 0.5 {'0.2y' if i == 3 else '0.25'}" for i in range(5)]
     with pytest.raises(TraceParseError) as excinfo:
         load_dataset(io.StringIO("traceinv-dataset 1\nn 5\n" + "\n".join(rows) + "\n"))
@@ -449,7 +464,7 @@ def test_validation_rules():
 # tokens a mutated file may hold: numbers that are non-finite, overflowing,
 # huge, empty, signed, hexadecimal or non-ASCII, then the formats' words
 FUZZ_NUMBERS = ["nan", "-inf", "1e400", "1" * 400, "-" + "7" * 400, "", '""', "+1", "0x10",
-                "\u0663", "\uff11\uff12", "0", "-1", "2", "0.5"]
+                "\u0663", "\uff11\uff12", "0.5_0", "1e+20", "0", "-1", "2", "0.5"]
 FUZZ_WORDS = ["x", "#", "epoch", "debug", "instance", "n", "eta", "epochs", "converged",
               MAGIC, DATASET_MAGIC, REPORT_MAGIC]
 
