@@ -362,16 +362,21 @@ def match_solutions(recovered, truth):
     error under the chosen pairing.  Among pairings of equal summed cost
     it returns one optimal pairing, which may differ from the one
     ``scipy.optimize.linear_sum_assignment`` picks.  Needs numpy only.
+
+    The pairing holds for any finite coordinates: the differences are
+    taken of the coordinates divided by 4, which is exact for normal
+    floats, so no cost overflows.  The error is then scaled back as a
+    Python float, so one beyond float64's range is reported as ``inf``.
     """
     if recovered.n != truth.n:
         raise ValueError(
             f"datasets differ in size: {recovered.n} vs {truth.n}"
         )
-    dx = np.abs(recovered.xs[:, None] - truth.xs[None, :])
-    dy = np.abs(recovered.ys[:, None] - truth.ys[None, :])
+    dx = np.abs(recovered.xs[:, None] / 4 - truth.xs[None, :] / 4)
+    dy = np.abs(recovered.ys[:, None] / 4 - truth.ys[None, :] / 4)
     rows, cols = np.arange(recovered.n), _min_cost_assignment(dx + dy)
     pairing = tuple(cols.tolist())
-    max_err = float(np.max(np.maximum(dx[rows, cols], dy[rows, cols])))
+    max_err = 4 * float(np.max(np.maximum(dx[rows, cols], dy[rows, cols])))
     return MatchReport(pairing=pairing, max_abs_error=max_err)
 
 

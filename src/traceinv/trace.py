@@ -60,9 +60,10 @@ token that is not a number raises ``TraceParseError`` naming its line,
 the first bad line of the first bad column in that order.  So does a
 token that ``int`` or ``float`` reads but the writers never produce: one
 holding ``_``, a leading ``+`` (an exponent's ``+`` is valid) or a
-non-ASCII character.  The trace
-writer renders every epoch row through one ``%`` template, which
-``format_float`` shares.
+non-ASCII character.  ``_numbers``, the one converter, checks this rule
+on the tokens of the column it converts, so a ``#`` comment, which no
+column holds, may contain any character.  The trace writer renders every
+epoch row through one ``%`` template, which ``format_float`` shares.
 """
 
 from __future__ import annotations
@@ -374,17 +375,18 @@ def save_report(result, destination):
     )
 
 
-def _numbers(kind, rows, column, strict):
+def _numbers(kind, rows, column):
     """``kind(tokens[column])`` of every ``(line_number, tokens)`` row,
-    as a list, converted in one ``map`` over the column.  Only after a
-    failure, or when ``strict``, is the column checked token by token,
-    so the ``TraceParseError`` names the first bad line.  The token
-    check also rejects spellings that ``int`` and ``float`` accept but
-    the writers never produce: a ``_``, a leading ``+`` or a non-ASCII
-    character.  ``_read`` sets ``strict`` only when the file text holds
-    one of these characters, so a file without them skips the check."""
+    as a list: the one place the readers convert a number token, and the
+    one owner of the token rule.  Beyond what ``int`` and ``float`` read,
+    the rule rejects spellings the writers never produce: a ``_``, a
+    leading ``+`` (an exponent's ``+`` is valid) or a non-ASCII
+    character.  A column whose joined text holds none of these converts
+    in one ``map``; otherwise, or after that ``map`` fails, it is checked
+    token by token, so the ``TraceParseError`` names the first bad line."""
     tokens = [t[column] for _, t in rows]
-    if not strict:
+    text = "".join(tokens)
+    if "_" not in text and "+" not in text and text.isascii():
         try:
             return list(map(kind, tokens))
         except ValueError:
@@ -411,11 +413,10 @@ def _read(source, magics, fields, rows):
     missing, each ``int`` field, a count, must be >= 1
     (``TraceValidationError`` with rule ``<field>-positive``).  ``rows``
     maps each row record to its usage line; a usage ending in ``...>``
-    takes any number of trailing values.  Returns the field values (None
-    for an optional one); for each row record, its ``(line_number,
-    tokens)`` list for the caller to convert by column; and whether the
-    text holds a ``_``, ``+`` or non-ASCII character, the ``strict`` of
-    ``_numbers``, tested once per file.
+    takes any number of trailing values.  Returns ``(values, rows)``:
+    the field values, each converted by ``_numbers`` (None for an
+    optional one), and for each row record its ``(line_number, tokens)``
+    list, which the caller converts column by column with ``_numbers``.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -424,7 +425,6 @@ def _read(source, magics, fields, rows):
             text = fh.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    strict = "_" in text or "+" in text or not text.isascii()
     arity = {key: len(usage.split()) for key, usage in rows.items()}
     found = {key: [] for key in rows}
     values = {}
@@ -455,8 +455,7 @@ def _read(source, magics, fields, rows):
                 raise TraceValidationError(
                     f"duplicate field '{key}'", rule="duplicate-field"
                 )
-            values[key] = (_numbers(fields[key], [(lineno, tokens)], 1, strict)[0]
-                           if key in fields else None)
+            values[key] = _numbers(fields[key], [(lineno, tokens)], 1)[0] if key in fields else None
         else:
             raise TraceParseError(f"unknown record type {key!r}", line=lineno)
     if optional is None:
@@ -469,7 +468,7 @@ def _read(source, magics, fields, rows):
     for key, kind in fields.items():
         if kind is int:
             _checked(key, values[key], ">= 1", ge=1, integer=True, rule=f"{key}-positive")
-    return values, found, strict
+    return values, found
 
 
 def _precision(rows):
@@ -487,15 +486,16 @@ def _precision(rows):
     return digits or None
 
 
-def _indexed(rows, key, count, strict, rule, count_rule=None):
+def _indexed(rows, key, count, rule, count_rule=None):
     """The ``(line_number, tokens)`` rows of record ``key``, in index order.
 
-    ``rows`` and ``strict`` are as ``_read`` returns them.  Each row's
-    ``tokens[1]`` is its index, and the indices must be 0..count-1, each
-    once, in any order; one loop places every row at its index.  A
-    number of rows other than ``count`` raises ``count_rule`` (default
-    ``rule``); an index out of range or repeated raises ``rule``.  The
-    count is checked first, so a huge declared count allocates nothing.
+    ``rows`` is as ``_read`` returns it.  Each row's ``tokens[1]`` is
+    its index, converted by ``_numbers``, and the indices must be
+    0..count-1, each once, in any order; one loop places every row at its
+    index.  A number of rows other than ``count`` raises ``count_rule``
+    (default ``rule``); an index out of range or repeated raises
+    ``rule``.  The count is checked first, so a huge declared count
+    allocates nothing.
     """
     found = rows[key]
     if len(found) != count:
@@ -503,7 +503,7 @@ def _indexed(rows, key, count, strict, rule, count_rule=None):
             f"expected {count} '{key}' records, found {len(found)}", rule=count_rule or rule
         )
     ordered = [None] * count
-    for j, row in zip(_numbers(int, found, 1, strict), found):
+    for j, row in zip(_numbers(int, found, 1), found):
         if not 0 <= j < count or ordered[j] is not None:
             raise TraceValidationError(
                 f"line {row[0]}: '{key}' indices must cover 0..{count - 1} exactly once",
@@ -520,27 +520,27 @@ def load_trace(source):
     by index.  The returned trace records the precision of its epoch
     values.
     """
-    fields, rows, strict = _read(
+    fields, rows = _read(
         source,
         {MAGIC: ()},
         {"eta": float, "n": int, "epochs": int},
         {"epoch": "epoch <j> <w> <b>", "debug": "debug <j> <loss> <yhat...>"},
     )
     n, epochs = fields["n"], fields["epochs"]
-    epoch_rows = _indexed(rows, "epoch", epochs, strict, "epoch-contiguous")
-    ws = np.array(_numbers(float, epoch_rows, 2, strict))
-    bs = np.array(_numbers(float, epoch_rows, 3, strict))
+    epoch_rows = _indexed(rows, "epoch", epochs, "epoch-contiguous")
+    ws = np.array(_numbers(float, epoch_rows, 2))
+    bs = np.array(_numbers(float, epoch_rows, 3))
 
     debug = None
     if rows["debug"]:
-        debug_rows = _indexed(rows, "debug", epochs, strict, "debug-shape")
+        debug_rows = _indexed(rows, "debug", epochs, "debug-shape")
         if any(len(t) != n + 3 for _, t in debug_rows):
             raise TraceValidationError(
                 f"debug records must give one loss and {n} yhat values", rule="debug-shape"
             )
         debug = TraceDebug(
-            yhat=np.column_stack([_numbers(float, debug_rows, k, strict) for k in range(3, n + 3)]),
-            loss=np.array(_numbers(float, debug_rows, 2, strict)),
+            yhat=np.column_stack([_numbers(float, debug_rows, k) for k in range(3, n + 3)]),
+            loss=np.array(_numbers(float, debug_rows, 2)),
         )
 
     return ParamTrace(
@@ -555,16 +555,16 @@ _REPORT_FIELDS = ("converged", "residual_norm", "iterations", "starts_tried")
 def load_dataset(source):
     """Read a dataset from a dataset file or a reconstruction report;
     ``instance`` records may come in any order and are stored by index."""
-    fields, rows, strict = _read(
+    fields, rows = _read(
         source,
         {DATASET_MAGIC: (), REPORT_MAGIC: _REPORT_FIELDS},
         {"n": int},
         {"instance": "instance <i> <x> <y>"},
     )
     instance_rows = _indexed(
-        rows, "instance", fields["n"], strict, "instance-contiguous", count_rule="instance-count"
+        rows, "instance", fields["n"], "instance-contiguous", count_rule="instance-count"
     )
-    return Dataset(*(_numbers(float, instance_rows, k, strict) for k in (2, 3)))
+    return Dataset(*(_numbers(float, instance_rows, k) for k in (2, 3)))
 
 
 def dumps_trace(trace, digits=None):

@@ -468,13 +468,20 @@ def test_match_total_equals_scipy(rng):
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 4e307])
 def test_match_pairs_any_scale_without_warning(rng, scale):
-    # coordinates up to 4e307 keep every |dx| + |dy| finite; the pairing's
-    # potentials must stay finite too (a RuntimeWarning is an error here)
+    # any finite coordinates pair without an overflow (a RuntimeWarning is an
+    # error here): every cost and the pairing's potentials stay finite
     for _ in range(30):
         unit = [Dataset(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(2)]
         rep = match_solutions(*(Dataset(d.xs * scale, d.ys * scale) for d in unit))
         assert paired_sum(rep, *unit) == pytest.approx(brute_force_best_sum(*unit))
         assert np.isfinite(rep.max_abs_error)
+    # differences beyond float64's range: the exact pairing is still found,
+    # and an error too large for a float64 is reported as inf
+    rep = match_solutions(Dataset([1e308, -1e308, 0], [0, 0, 0]),
+                          Dataset([-1e308, 0, 1e308], [0, 0, 0]))
+    assert (rep.pairing, rep.max_abs_error) == ((2, 0, 1), 0.0)
+    rep = match_solutions(Dataset([1e308], [0]), Dataset([-1e308], [0]))
+    assert (rep.pairing, rep.max_abs_error) == ((0,), np.inf)
 
 
 def test_match_size_mismatch():

@@ -329,6 +329,11 @@ def test_parse_errors_name_the_line():
             assert repr(token) in str(excinfo.value)
             rows[row][column] = str(row) if column == 1 else "0.5"
         assert loads_trace(long_trace()).epochs == 600
+    # a field's value is a one-token column, checked on its own even when
+    # every record column is clean
+    with pytest.raises(TraceParseError, match="not a valid") as excinfo:
+        loads_trace(long_trace().replace("eta 0.1\n", "eta 0.1_0\n"))
+    assert excinfo.value.line == 2
     rows = [f"instance {i} 0.5 {'0.2y' if i == 3 else '0.25'}" for i in range(5)]
     with pytest.raises(TraceParseError) as excinfo:
         load_dataset(io.StringIO("traceinv-dataset 1\nn 5\n" + "\n".join(rows) + "\n"))
