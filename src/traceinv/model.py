@@ -97,6 +97,12 @@ def _gradient(w, b, xs, ys):
     return 2.0 * float(np.mean(xs * Z)), 2.0 * float(np.mean(Z))
 
 
+def _mean_square_error(yhat, ys):
+    """The mean of (yhat - ys)^2 over the last axis: one loss per row of a
+    2-d ``yhat``, the loss of a 1-d one."""
+    return np.mean((yhat - ys) ** 2, axis=-1)
+
+
 def forward(params, xs):
     """Network outputs tanh(w*x + b) for a non-empty 1-d vector (a scalar
     is one input) of finite real numbers; ``ValueError`` naming ``xs``
@@ -115,7 +121,7 @@ def mse(yhat, ys):
     scalar is one label); ``ValueError`` naming the bad field, or both
     fields and their shapes, otherwise."""
     yhat, ys = _checked_vectors(yhat=yhat, ys=ys)
-    return float(np.mean((yhat - ys) ** 2))
+    return float(_mean_square_error(yhat, ys))
 
 
 def gradients(params, data):
@@ -152,5 +158,5 @@ def train(data, cfg, debug=False):
     trace_debug = None
     if debug:
         yhat = _tanh_terms(ws[:, None], bs[:, None], data.xs, 0.0)[0]
-        trace_debug = TraceDebug(yhat, [mse(row, data.ys) for row in yhat])
+        trace_debug = TraceDebug(yhat, _mean_square_error(yhat, data.ys))
     return ParamTrace(eta=cfg.eta, n=data.n, ws=ws, bs=bs, debug=trace_debug)

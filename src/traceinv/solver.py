@@ -26,9 +26,10 @@ Three routes:
 ``match_solutions`` pairs a recovered dataset against a reference one;
 the residual system is invariant under any simultaneous permutation of
 the (x_i, y_i) pairs, so recovery is only identifiable up to such a
-permutation.  The pairing is a linear assignment, solved here in numpy
-(``_min_cost_assignment``), so scoring an attack loads no scipy: scipy
-is imported only when ``_run_start`` runs lmder or dogbox.
+permutation.  The pairing is a linear assignment.  At n=1 there is only
+one pairing, so scoring a single-instance attack loads no scipy; at
+n >= 2 ``match_solutions`` imports scipy's ``linear_sum_assignment``
+when it first runs, as ``_run_start`` imports lmder or dogbox.
 """
 
 from __future__ import annotations
@@ -319,49 +320,15 @@ def solve_n1(problem, residual_tolerance=SolverConfig.residual_tolerance):
     return _result(problem, z, residuals(z, problem), 0, residual_tolerance)
 
 
-def _min_cost_assignment(cost):
-    """Column paired with each row of the square ``cost`` matrix so that
-    the summed cost is least: the Hungarian method as shortest augmenting
-    paths with row and column potentials, O(n^3), one vectorised pass over
-    the columns per step.  Among equal-cost pairings it returns one of
-    them.  The pairing does not depend on the scale of the costs, so they
-    are divided by the largest, which keeps the potentials finite."""
-    n = len(cost)
-    top = cost.max()
-    if top > 0:
-        cost = cost / top
-    u, v = np.zeros(n), np.zeros(n + 1)  # potentials; column n is each path's virtual start
-    row_of = np.full(n + 1, -1)          # row matched to each column, -1 if free
-    way = np.zeros(n + 1, dtype=int)     # previous column on the shortest path
-    for i in range(n):
-        row_of[n], j = i, n
-        dist, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
-        while row_of[j] >= 0:  # grow the path tree by the row matched to column j
-            used[j] = True
-            reduced = cost[row_of[j]] - u[row_of[j]] - v[:n]
-            closer = ~used[:n] & (reduced < dist[:n])
-            dist[:n][closer], way[:n][closer] = reduced[closer], j
-            j = int(np.argmin(np.where(used[:n], np.inf, dist[:n])))
-            delta = dist[j]
-            u[row_of[used]] += delta
-            v[used] -= delta
-            dist[~used] -= delta
-        while j != n:  # augment: shift each row on the path to the next column
-            row_of[j] = row_of[way[j]]
-            j = way[j]
-    pairing = np.empty(n, dtype=int)
-    pairing[row_of[:n]] = np.arange(n)
-    return pairing
-
-
 def match_solutions(recovered, truth):
     """Optimal pairing of recovered instances against reference instances.
 
-    Minimizes the summed |dx| + |dy| over pairings with the Hungarian
-    method (``_min_cost_assignment``) and reports the largest coordinate
-    error under the chosen pairing.  Among pairings of equal summed cost
-    it returns one optimal pairing, which may differ from the one
-    ``scipy.optimize.linear_sum_assignment`` picks.  Needs numpy only.
+    Minimizes the summed |dx| + |dy| over pairings and reports the
+    largest coordinate error under the chosen pairing.  At n=1 the only
+    pairing is taken and no scipy is loaded; at n >= 2 the pairing is
+    ``scipy.optimize.linear_sum_assignment``'s, imported on first use.
+    Among pairings of equal summed cost it returns one of them, and two
+    such pairings may differ in ``max_abs_error``.
 
     The pairing holds for any finite coordinates: the differences are
     taken of the coordinates divided by 4, which is exact for normal
@@ -374,7 +341,11 @@ def match_solutions(recovered, truth):
         )
     dx = np.abs(recovered.xs[:, None] / 4 - truth.xs[None, :] / 4)
     dy = np.abs(recovered.ys[:, None] / 4 - truth.ys[None, :] / 4)
-    rows, cols = np.arange(recovered.n), _min_cost_assignment(dx + dy)
+    rows = cols = np.arange(recovered.n)  # at n=1, the only pairing
+    if recovered.n > 1:
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(dx + dy)
     pairing = tuple(cols.tolist())
     max_err = 4 * float(np.max(np.maximum(dx[rows, cols], dy[rows, cols])))
     return MatchReport(pairing=pairing, max_abs_error=max_err)

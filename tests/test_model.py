@@ -140,9 +140,10 @@ def test_train_matches_reference_loop(rng):
 
 def test_train_steps_are_exact_gradient_steps(rng):
     # each broadcast step is exactly -eta times the batch gradient, which is
-    # the identity the attack inverts; the debug block is forward and mse
-    for _ in range(60):
-        n = int(rng.integers(1, 7))
+    # the identity the attack inverts; the debug block is forward and mse,
+    # also at n=300, where numpy sums each row pairwise
+    for case in range(61):
+        n = 300 if case == 60 else int(rng.integers(1, 7))
         data = random_dataset(rng, n)
         eta = float(rng.uniform(0.01, 2.0))
         epochs = int(rng.integers(1, 12))
