@@ -16,10 +16,11 @@ Three routes:
   since lmder supports neither.  Each step has one owner:
   ``_start_points`` builds every start and clips it into the box,
   ``_run_start`` runs one start (returning the first start as it is if
-  it is already a root, else choosing lmder or dogbox), ``_result``
-  judges every answer, for ``solve_n1`` too, and ``solve`` is only the
-  multi-start policy: it keeps the best start and stops at the first
-  within precision.
+  it is already a root, else choosing lmder or dogbox), ``_polish``
+  takes full Gauss-Newton steps, which end a rounded n=1 trace's first
+  start without scipy, ``_result`` judges every answer, for ``solve_n1``
+  too, and ``solve`` is only the multi-start policy: it keeps the best
+  start and stops at the first within precision.
 * ``verify_reconstruction`` -- the independent check: retrain on the
   recovered dataset and compare the resulting trace epoch by epoch.
 
@@ -27,13 +28,15 @@ Three routes:
 the residual system is invariant under any simultaneous permutation of
 the (x_i, y_i) pairs, so recovery is only identifiable up to such a
 permutation.  The pairing is a linear assignment.  At n=1 there is only
-one pairing, so scoring a single-instance attack loads no scipy; at
-n >= 2 ``match_solutions`` imports scipy's ``linear_sum_assignment``
-when it first runs, as ``_run_start`` imports lmder or dogbox.
+one pairing, so scoring a single-instance attack loads no scipy, on a
+lossless trace or a rounded one that the polish ends; at n >= 2
+``match_solutions`` imports scipy's ``linear_sum_assignment`` when it
+first runs, as ``_run_start`` imports lmder or dogbox.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -219,28 +222,71 @@ def _result(problem, z, r, iterations, tolerance):
     )
 
 
+def _polish(problem, z, r, xtol):
+    """Up to 8 full Gauss-Newton steps from ``z``, whose residual vector
+    is ``r``: each step is ``dz = lstsq(J(z), -r(z))``, and the residual
+    after it is reused for the next, so r is evaluated once per step.
+    Returns ``(z, r, steps)`` for the iterate with the lowest residual
+    max-norm, ``z`` itself included and a later iterate winning a tie;
+    ``steps`` counts Jacobian evaluations.  Stops early where r or J is
+    not finite, and on a rounded trace (``quantum > 0``) at the first
+    iterate within the quantum whose step is at most ``xtol`` times its
+    size, MINPACK's ``xtol`` test.  It respects no box.  A step that
+    overflows is not warned about: it ends the polish instead."""
+    rnorm = float(np.abs(r).max())
+    best = z, r, rnorm
+    steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while steps < 8 and math.isfinite(rnorm):
+            J = jacobian(z, problem)
+            steps += 1
+            if not np.isfinite(J).all():
+                break
+            dz = np.linalg.lstsq(J, -r, rcond=None)[0]
+            z = z + dz
+            r = residuals(z, problem)
+            rnorm = float(np.abs(r).max())
+            if rnorm <= best[2]:
+                best = z, r, rnorm
+            if (problem.quantum > 0 and rnorm <= problem.quantum
+                    and math.hypot(*dz) <= xtol * math.hypot(*z)):
+                break
+    return best[0], best[1], steps
+
+
 def _run_start(problem, z0, cfg, first):
     """One start of ``solve`` from ``z0``, judged by ``_result``.
 
     Only the ``first`` start (``initial_guess``, the n=1 closed form or
     the default) is checked for being a root already, since a random
     draw is one with probability zero: a root is returned as it is, with
-    0 iterations, before scipy is imported.  Otherwise the start runs one
-    scipy call: MINPACK's lmder when there is no box and the problem is
-    determined, else scipy's dogleg method with
-    rectangular trust regions inside ``cfg.box_bounds`` or (-inf, inf),
-    since lmder handles neither a box nor fewer equations than unknowns.
-    Iterations count Jacobian evaluations.  scipy is imported here, by
-    the first start that runs, so that importing the package loads none
-    of it.  Dogbox squares the residual vector, which overflows (then
-    gives inf - inf) once its entries pass about 1e154; those warnings
-    are silenced, so, as lmder does, it returns a start that did not
-    converge.
+    0 iterations, before scipy is imported.  A first start that is not a
+    root, at n=1 on a rounded trace (``quantum > 0``) with no box, is
+    polished next (``_polish``, which respects no box): if the polished
+    point is within precision it is returned, still before scipy is
+    imported, and its iterations are the Gauss-Newton steps taken,
+    ``cfg.step_tolerance`` ending them as it ends lmder.  Otherwise the
+    start runs one scipy call from its unpolished point: MINPACK's lmder
+    when there is no box and the problem is determined, else scipy's
+    dogleg method with rectangular trust regions inside
+    ``cfg.box_bounds`` or (-inf, inf), since lmder handles neither a box
+    nor fewer equations than unknowns.  Iterations count Jacobian
+    evaluations.  scipy is imported here, by the first start that runs
+    it, so that importing the package loads none of it.  Dogbox squares
+    the residual vector, which overflows (then gives inf - inf) once its
+    entries pass about 1e154; those warnings are silenced, so, as lmder
+    does, it returns a start that did not converge.
     """
     if first:
-        result = _result(problem, z0, residuals(z0, problem), 0, cfg.residual_tolerance)
+        r0 = residuals(z0, problem)
+        result = _result(problem, z0, r0, 0, cfg.residual_tolerance)
         if result.converged:
             return result
+        if problem.n == 1 and problem.quantum > 0 and cfg.box_bounds is None:
+            result = _result(problem, *_polish(problem, z0, r0, cfg.step_tolerance),
+                             cfg.residual_tolerance)
+            if result.within_precision:
+                return result
     from scipy.optimize import least_squares, leastsq
 
     if cfg.box_bounds is None and problem.is_determined:
@@ -276,10 +322,12 @@ def solve(problem, cfg=SolverConfig()):
     generator; ``_run_start`` runs each one, and its docstring says which
     routine runs and when a start is returned untouched.  At n=1 with no
     ``initial_guess`` the first start is ``solve_n1``'s closed form, so a
-    lossless n=1 trace is solved with no MINPACK call.  An exact trace
-    has quantum 0, so only convergence stops it.  On hard instances the
-    root found can differ between runs, because MINPACK's arithmetic in
-    ``leastsq`` depends on memory layout.
+    lossless n=1 trace is solved with no MINPACK call, and with no box a
+    rounded one usually is too: the closed form's Gauss-Newton polish
+    lands within precision, and ``iterations`` counts its steps.  An
+    exact trace has quantum 0, so only convergence stops it.  On hard
+    instances the root found can differ between runs, because MINPACK's
+    arithmetic in ``leastsq`` depends on memory layout.
     """
     if not problem.is_determined and not cfg.allow_underdetermined:
         raise InsufficientTraceError(

@@ -16,6 +16,7 @@ from traceinv import (
     SolverConfig,
     TrainConfig,
     dumps_trace,
+    jacobian,
     loads_trace,
     match_solutions,
     pack,
@@ -23,9 +24,10 @@ from traceinv import (
     solve,
     solve_n1,
     train,
+    unpack,
     verify_reconstruction,
 )
-from traceinv.solver import _start_points
+from traceinv.solver import _polish, _start_points
 
 from conftest import make_trace, random_dataset
 
@@ -246,6 +248,94 @@ def test_solve_stops_within_trace_precision(n, epochs, rng):
         assert q.quantum == 0.0
         res = solve(q)
         assert res.within_precision == res.converged
+
+
+def minpack(p, z0, cfg):
+    """lmder from ``z0`` with the arguments ``solve`` gives it."""
+    from scipy.optimize import leastsq
+
+    z, _, info, _, _ = leastsq(
+        residuals, z0, args=(p,), Dfun=jacobian, full_output=True,
+        ftol=1e-15, xtol=cfg.step_tolerance, gtol=0.0, maxfev=2 * cfg.max_iterations,
+    )
+    return z, info
+
+
+def test_polish_ends_rounded_n1_traces_as_well_as_minpack(rng):
+    # a 7-digit n=1 trace has no exact root: the Gauss-Newton polish of the
+    # closed form ends within precision at the first start, and it lands
+    # within 1e-3 of the secret at least as often as lmder from that start
+    polished = minpacked = 0
+    for case in range(200):
+        data = random_dataset(rng, 1)
+        p = problem_for(data, epochs=4, digits=7)
+        cfg = SolverConfig(seed=case)
+        res = solve(p, cfg)
+        assert res.within_precision and res.starts_tried == 1
+        assert 1 <= res.iterations <= 8
+        polished += match_solutions(res.recovered, data).max_abs_error < 1e-3
+        z, _ = minpack(p, next(_start_points(p, cfg)), cfg)
+        minpacked += match_solutions(Dataset(*unpack(z, 1)), data).max_abs_error < 1e-3
+    assert polished >= minpacked
+
+
+def test_unpolished_rounded_start_runs_minpack_from_the_closed_form(monkeypatch, rng):
+    # a polish that ends outside precision is discarded: lmder runs from
+    # the closed form itself, as it does without the polish
+    data = random_dataset(rng, 1)
+    p = problem_for(data, epochs=4, digits=7)
+    cfg = SolverConfig()
+    z0 = next(_start_points(p, cfg))
+    far = z0 + 1.0
+    assert np.max(np.abs(residuals(far, p))) > p.quantum
+    calls = []
+
+    def outside(problem, z, r, xtol):
+        calls.append(z.tobytes())
+        return far, residuals(far, problem), 3
+
+    monkeypatch.setattr("traceinv.solver._polish", outside)
+    res = solve(p, cfg)
+    assert calls == [z0.tobytes()]
+    z, info = minpack(p, z0, cfg)
+    assert (res.recovered.xs.tobytes(), res.recovered.ys.tobytes(), res.residual_norm,
+            res.iterations, res.starts_tried) == (
+        z[:1].tobytes(), z[1:].tobytes(), float(np.max(np.abs(info["fvec"]))), info["njev"], 1)
+
+
+def test_polish_runs_only_on_rounded_unboxed_n1_traces(monkeypatch, rng):
+    # lossless traces (quantum 0, an in-memory rounded one included), a
+    # box, which the polish would not respect, and n >= 2 never reach it
+    def refuse(*args):
+        raise AssertionError("_polish called")
+
+    monkeypatch.setattr("traceinv.solver._polish", refuse)
+    one, two = random_dataset(rng, 1), random_dataset(rng, 2)
+    rounded = problem_for(one, epochs=4, digits=7).trace
+    in_memory = ReconstructionProblem(ParamTrace(rounded.eta, rounded.n, rounded.ws, rounded.bs))
+    cases = [
+        (problem_for(one, epochs=2), SolverConfig()),
+        (problem_for(one, epochs=500), SolverConfig()),
+        (in_memory, SolverConfig(multistart_count=2)),
+        (problem_for(one, epochs=4, digits=7), SolverConfig(box_bounds=(0.0, 1.0))),
+        (problem_for(two, epochs=5, digits=7), SolverConfig()),
+    ]
+    for p, cfg in cases:
+        assert solve(p, cfg).residual_norm < 1e-4
+
+
+def test_polish_stops_where_the_jacobian_overflows():
+    # near w = 1e300 the Jacobian overflows where the residuals do not: the
+    # polish stops there, with no warning and no non-finite matrix for lstsq
+    p = ReconstructionProblem(loads_trace(dumps_trace(
+        make_trace(0.1, 1, [1e300, 1e300 * (1 - 1e-10), 1e300 * (1 - 2e-10)], [0.5, 0.4, 0.3]),
+        digits=7)))
+    z0 = np.array([0.0, 1e10])
+    r0 = residuals(z0, p)
+    z, r, steps = _polish(p, z0, r0, SolverConfig.step_tolerance)
+    assert z is z0 and r is r0 and steps == 1
+    res = solve(p, SolverConfig(initial_guess=z0))
+    assert res.within_precision and (res.iterations, res.starts_tried) == (1, 1)
 
 
 def test_box_bounds_clip_the_iterates(rng):
