@@ -17,8 +17,11 @@ within a rounded trace's precision (the report is still written).
 
 The flags of ``reconstruct`` and ``feasibility`` are named after the
 fields of ``SolverConfig`` and ``NetworkShape``, which ``_config`` builds
-from them, so the parser is the one list of those flags.  Each config,
-and ``Dataset`` and ``save_trace`` for ``train``, checks its own values.
+from them, so the parser is the one list of those flags.  A flag's
+default is read from its config: ``SolverConfig``'s fields for
+``reconstruct``, and ``TrainConfig.init`` for ``train --w0/--b0``.
+Each config, and ``Dataset`` and ``save_trace`` for ``train``, checks
+its own values.
 
 The trace, dataset, and report file formats live in ``trace``.
 """
@@ -140,8 +143,10 @@ def build_parser():
     p.add_argument("--eta", type=float, default=0.1, help="learning rate (default %(default)s)")
     p.add_argument("--epochs", type=int, default=5,
                    help="number of recorded epochs (default %(default)s)")
-    p.add_argument("--w0", type=float, default=0.5, help="initial weight (default %(default)s)")
-    p.add_argument("--b0", type=float, default=0.5, help="initial bias (default %(default)s)")
+    p.add_argument("--w0", type=float, default=TrainConfig.init.w,
+                   help="initial weight (default %(default)s)")
+    p.add_argument("--b0", type=float, default=TrainConfig.init.b,
+                   help="initial bias (default %(default)s)")
     p.add_argument("--precision", type=int, default=None, metavar="DIGITS",
                    help="significant digits (>= 1) written to the trace "
                         "(default: lossless)")

@@ -19,7 +19,7 @@ every scalar of a step stays a Python float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,11 +67,13 @@ class Params:
 @dataclass(frozen=True)
 class TrainConfig:
     """Learning rate ``eta`` (finite, > 0), number of recorded ``epochs``
-    (an integer >= 1), and initial parameters."""
+    (an integer >= 1), and initial parameters ``init``, by default
+    ``Params(0.5, 0.5)``: one frozen instance, ``TrainConfig.init``,
+    which the ``train`` flags' defaults also read."""
 
     eta: float
     epochs: int
-    init: Params = field(default_factory=lambda: Params(0.5, 0.5))
+    init: Params = Params(0.5, 0.5)
 
     def __post_init__(self):
         _checked("eta", self.eta, "a finite real number > 0", gt=0)

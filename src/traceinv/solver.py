@@ -15,12 +15,12 @@ Three routes:
   rectangular trust regions (``least_squares(method="dogbox")``) instead,
   since lmder supports neither.  Each step has one owner:
   ``_start_points`` builds every start and clips it into the box,
-  ``_run_start`` runs one start (returning the first start as it is if
-  it is already a root, else choosing lmder or dogbox), ``_polish``
-  takes full Gauss-Newton steps, which end a rounded n=1 trace's first
-  start without scipy, ``_result`` judges every answer, for ``solve_n1``
-  too, and ``solve`` is only the multi-start policy: it keeps the best
-  start and stops at the first within precision.
+  ``_run_start`` runs one start, ``_polish`` takes full Gauss-Newton
+  steps, ``_result`` judges every answer, for ``solve_n1`` too, and
+  ``solve`` is only the multi-start policy: it keeps the best start and
+  stops at the first within precision.  At n=1 the closed form, polished
+  on a rounded trace, usually ends the search without scipy;
+  ``_run_start``'s docstring gives that route in full.
 * ``verify_reconstruction`` -- the independent check: retrain on the
   recovered dataset and compare the resulting trace epoch by epoch.
 
@@ -127,7 +127,9 @@ class ReconstructionResult:
 
     ``converged`` means the residual max-norm is within the configured
     tolerance; ``within_precision`` means converged or within the trace's
-    quantum, the most that rounding alone explains.
+    quantum, the most that the rounding of the right-hand sides explains.
+    The rounded parameters inside tanh are not covered, so at large eta
+    even the secret can lie outside it (``system``'s docstring).
     """
 
     recovered: Dataset
@@ -229,9 +231,10 @@ def _polish(problem, z, r, xtol):
     Returns ``(z, r, steps)`` for the iterate with the lowest residual
     max-norm, ``z`` itself included and a later iterate winning a tie;
     ``steps`` counts Jacobian evaluations.  Stops early where r or J is
-    not finite, and on a rounded trace (``quantum > 0``) at the first
-    iterate within the quantum whose step is at most ``xtol`` times its
-    size, MINPACK's ``xtol`` test.  It respects no box.  A step that
+    not finite, and at the first iterate within the trace's quantum
+    whose step is at most ``xtol`` times its size, MINPACK's ``xtol``
+    test.  On a lossless trace (quantum 0) that is an exact root, where
+    every further step would be zero.  It respects no box.  A step that
     overflows is not warned about: it ends the polish instead."""
     rnorm = float(np.abs(r).max())
     best = z, r, rnorm
@@ -248,23 +251,25 @@ def _polish(problem, z, r, xtol):
             rnorm = float(np.abs(r).max())
             if rnorm <= best[2]:
                 best = z, r, rnorm
-            if (problem.quantum > 0 and rnorm <= problem.quantum
-                    and math.hypot(*dz) <= xtol * math.hypot(*z)):
+            if rnorm <= problem.quantum and math.hypot(*dz) <= xtol * math.hypot(*z):
                 break
     return best[0], best[1], steps
 
 
 def _run_start(problem, z0, cfg, first):
-    """One start of ``solve`` from ``z0``, judged by ``_result``.
+    """One start of ``solve`` from ``z0``, judged by ``_result``.  This
+    docstring is the one full account of the n=1 route.
 
     Only the ``first`` start (``initial_guess``, the n=1 closed form or
     the default) is checked for being a root already, since a random
     draw is one with probability zero: a root is returned as it is, with
-    0 iterations, before scipy is imported.  A first start that is not a
-    root, at n=1 on a rounded trace (``quantum > 0``) with no box, is
-    polished next (``_polish``, which respects no box): if the polished
-    point is within precision it is returned, still before scipy is
-    imported, and its iterations are the Gauss-Newton steps taken,
+    0 iterations, before scipy is imported.  So a lossless n=1 trace
+    ends at the closed form.  A first start that is not a root, at n=1
+    on a rounded trace (``quantum > 0``) with no box, is polished next
+    (``_polish``, which respects no box); this gate is the only place
+    that asks whether a trace is rounded.  If the polished point is
+    within precision it is returned, still before scipy is imported, and
+    its iterations are the Gauss-Newton steps taken,
     ``cfg.step_tolerance`` ending them as it ends lmder.  Otherwise the
     start runs one scipy call from its unpolished point: MINPACK's lmder
     when there is no box and the problem is determined, else scipy's
@@ -321,11 +326,10 @@ def solve(problem, cfg=SolverConfig()):
     time, so a search that stops at the first start seeds no random
     generator; ``_run_start`` runs each one, and its docstring says which
     routine runs and when a start is returned untouched.  At n=1 with no
-    ``initial_guess`` the first start is ``solve_n1``'s closed form, so a
-    lossless n=1 trace is solved with no MINPACK call, and with no box a
-    rounded one usually is too: the closed form's Gauss-Newton polish
-    lands within precision, and ``iterations`` counts its steps.  An
-    exact trace has quantum 0, so only convergence stops it.  On hard
+    ``initial_guess`` the first start is ``solve_n1``'s closed form,
+    which usually ends the search with no scipy call, polished on a
+    rounded trace; ``_run_start``'s docstring gives that route in full.
+    An exact trace has quantum 0, so only convergence stops it.  On hard
     instances the root found can differ between runs, because MINPACK's
     arithmetic in ``leastsq`` depends on memory layout.
     """

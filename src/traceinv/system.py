@@ -17,9 +17,13 @@ checks its length; all other code calls them.
 
 A trace observed with d significant digits moves each w_j and b_j by at
 most half a unit in its d-th digit, so each right-hand side moves by at
-most its quantum n/(2 eta) * 10^(1-d) * max(|w|, |b|), and the secret
-itself leaves residuals up to that size: a rounded trace has no exact
-root, and no residual below its quantum is meaningful.
+most its quantum n/(2 eta) * 10^(1-d) * max(|w|, |b|): a rounded trace
+has no exact root, and no residual below its quantum is meaningful.  The
+quantum bounds only that right-hand-side term.  The rounded w_j and b_j
+inside tanh move the left side too, by an amount that does not scale
+with n/(2 eta), so the secret's own residual is not bounded by the
+quantum: seeded secrets at n <= 3 stayed below 0.65 quanta at eta <= 1,
+but reached about 2 quanta at eta 3 to 5.
 
 ``feasibility`` does the equation-vs-unknown counting for wider and
 deeper fully connected networks.  The count is a necessary heuristic
@@ -63,8 +67,10 @@ class ReconstructionProblem:
     b_{j+1}), interleaved like the residuals.  ``quantum`` bounds how far
     the trace's rounding moves any right-hand side, n/(2 eta) *
     10^(1-d) * max(|ws|, |bs|) for a trace of precision d; it is 0.0 for
-    an exact trace (precision None).  Raises InsufficientTraceError below
-    2 epochs, and ValueError when a right-hand side overflows to a
+    an exact trace (precision None).  It leaves out the rounding of the
+    parameters inside tanh, so at large eta the secret's own residual can
+    exceed it (see the module docstring).  Raises InsufficientTraceError
+    below 2 epochs, and ValueError when a right-hand side overflows to a
     non-finite value, also when n itself is beyond float64's range.
     """
 

@@ -357,22 +357,19 @@ def save_dataset(data, destination):
     _write_records(destination, DATASET_MAGIC, [f"n {data.n}", *_instance_lines(data)])
 
 
+# the optional one-value fields a report adds to the dataset layout, in
+# the order save_report writes them
+_REPORT_FIELDS = ("converged", "residual_norm", "iterations", "starts_tried")
+
+
 def save_report(result, destination):
     """Write a reconstruction report; its instance records make it
     loadable by ``load_dataset`` as well."""
     data = result.recovered
-    _write_records(
-        destination,
-        REPORT_MAGIC,
-        [
-            f"n {data.n}",
-            f"converged {'true' if result.converged else 'false'}",
-            f"residual_norm {format_float(result.residual_norm)}",
-            f"iterations {result.iterations}",
-            f"starts_tried {result.starts_tried}",
-            *_instance_lines(data),
-        ],
-    )
+    values = ("true" if result.converged else "false", format_float(result.residual_norm),
+              result.iterations, result.starts_tried)
+    lines = [f"n {data.n}", *map("%s %s".__mod__, zip(_REPORT_FIELDS, values))]
+    _write_records(destination, REPORT_MAGIC, lines + _instance_lines(data))
 
 
 def _numbers(kind, rows, column):
@@ -546,10 +543,6 @@ def load_trace(source):
     return ParamTrace(
         eta=fields["eta"], n=n, ws=ws, bs=bs, debug=debug, precision=_precision(epoch_rows)
     )
-
-
-# the optional one-value fields a report adds to the dataset layout
-_REPORT_FIELDS = ("converged", "residual_norm", "iterations", "starts_tried")
 
 
 def load_dataset(source):

@@ -518,9 +518,10 @@ from traceinv import Dataset, match_solutions
 from traceinv.trace import load_dataset
 from traceinv.cli import main
 
-digits = sys.argv[1:]
+at = sys.argv.index("reconstruct")  # train flags, then "reconstruct" and its flags
+digits, flags = sys.argv[1:at], sys.argv[at + 1:]
 assert main(["train", "--x", "0.6", "--y", "0.5", "--epochs", "4", *digits, "-o", "t.trace"]) == 0
-code = main(["reconstruct", "t.trace", "-o", "r.report"])
+code = main(["reconstruct", "t.trace", *flags, "-o", "r.report"])
 if not digits:  # lossless: the closed form is a root, so no MINPACK call
     assert code == 0 and main(["verify", "t.trace", "r.report"]) == 0
     assert match_solutions(load_dataset("r.report"), Dataset([0.6], [0.5])).max_abs_error < 1e-12
@@ -530,15 +531,20 @@ assert match_solutions(Dataset(three.xs[::-1], three.ys[::-1]), three).pairing =
 """
 
 
-@pytest.mark.parametrize("digits, loaded", [([], False), (["--precision", "7"], False)],
-                         ids=["lossless", "7-digit"])
-def test_scoring_an_n1_attack_loads_scipy_only_for_minpack(tmp_path, digits, loaded):
+@pytest.mark.parametrize("digits, flags, loaded", [
+    ([], [], False),
+    (["--precision", "7"], [], False),
+    (["--precision", "7"], ["--box-bounds", "0", "1"], True),
+], ids=["lossless", "7-digit", "7-digit-boxed"])
+def test_scoring_an_n1_attack_loads_scipy_only_for_minpack(tmp_path, digits, flags, loaded):
     # a lossless n=1 attack, verified and scored, never runs MINPACK, so it
     # never loads scipy.optimize; a 7-digit trace has no exact root, but the
     # Gauss-Newton polish of the closed form lands within its precision, so
-    # MINPACK does not run and scipy.optimize stays unloaded there too
+    # MINPACK does not run and scipy.optimize stays unloaded there too; in a
+    # box, which the polish does not respect, the start runs dogbox and
+    # loads it
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", SCORED_ATTACK, *digits],
+        [sys.executable, "-W", "error", "-c", SCORED_ATTACK, *digits, "reconstruct", *flags],
         capture_output=True,
         text=True,
         cwd=tmp_path,

@@ -231,17 +231,20 @@ def test_solve_stops_within_trace_precision(n, epochs, rng):
     # the rounding quantum ends the search
     for case in range(20):
         data = random_dataset(rng, n)
-        p = problem_for(data, epochs=epochs, digits=7)
-        assert p.trace.precision == 7 and p.quantum > 0
-        res = solve(p, SolverConfig(seed=case))
-        assert res.starts_tried == 1
-        assert res.within_precision and not res.converged
-        assert res.residual_norm <= p.quantum
-        # the secret itself is only as exact as the trace
-        secret_norm = np.max(np.abs(residuals(pack(data.xs, data.ys), p)))
-        assert secret_norm <= p.quantum
-        if n == 1:
-            assert match_solutions(res.recovered, data).max_abs_error < 1e-4
+        for eta in (0.1, 1.0):
+            p = problem_for(data, epochs=epochs, eta=eta, digits=7)
+            assert p.trace.precision == 7 and p.quantum > 0
+            res = solve(p, SolverConfig(seed=case))
+            assert res.starts_tried == 1
+            assert res.within_precision and not res.converged
+            assert res.residual_norm <= p.quantum
+            # the secret itself is only as exact as the trace; the quantum
+            # bounds only the rounding of the right-hand sides, so this
+            # holds at these etas, not at every eta
+            secret_norm = np.max(np.abs(residuals(pack(data.xs, data.ys), p)))
+            assert secret_norm <= p.quantum
+            if n == 1:
+                assert match_solutions(res.recovered, data).max_abs_error < 1e-4
     exact = problem_for(data, epochs=epochs)
     lossless = ReconstructionProblem(loads_trace(dumps_trace(exact.trace)))
     for q in (exact, lossless):
@@ -336,6 +339,22 @@ def test_polish_stops_where_the_jacobian_overflows():
     assert z is z0 and r is r0 and steps == 1
     res = solve(p, SolverConfig(initial_guess=z0))
     assert res.within_precision and (res.iterations, res.starts_tried) == (1, 1)
+
+
+def test_polish_stops_at_an_exact_root_of_a_lossless_trace(rng):
+    # a lossless trace has quantum 0, so only an exact root is within it;
+    # every step from there is zero, so the polish stops short of 8 steps
+    exact = 0
+    for _ in range(20):
+        data = random_dataset(rng, 1)
+        p = problem_for(data, epochs=2)
+        assert p.quantum == 0.0
+        z0 = pack(data.xs, data.ys) + rng.uniform(-1e-3, 1e-3, 2)
+        z, r, steps = _polish(p, z0, residuals(z0, p), SolverConfig.step_tolerance)
+        if not r.any():
+            exact += 1
+            assert steps < 8
+    assert exact > 0
 
 
 def test_box_bounds_clip_the_iterates(rng):
