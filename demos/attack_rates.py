@@ -26,7 +26,7 @@ percentile with at least 10 cases beyond it.  No number is checked.
 
     python3 demos/attack_rates.py                  # criterion-5 data (seconds)
     python3 demos/attack_rates.py --full           # every data set (about a minute)
-    python3 demos/attack_rates.py --full --json BENCH_2.json
+    python3 demos/attack_rates.py --full --json BENCH_4.json
 """
 
 import argparse
@@ -105,10 +105,11 @@ def rows(names):
             yield count(name, n, rng)
 
 
-def git_sha():
-    """The checkout's HEAD commit, or None outside a git checkout."""
+def git(*args):
+    """The output of ``git args`` in the checkout, or None outside a git
+    checkout."""
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+        out = subprocess.run(["git", *args], cwd=Path(__file__).parent,
                              capture_output=True, text=True)
     except OSError:
         return None
@@ -136,12 +137,15 @@ def main():
               f"p{row['tail_percentile']} {1e3 * row['solve_tail_s']:7.2f}")
 
     if args.json:
+        status = git("status", "--porcelain")
         record = {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "git_sha": git_sha(),
+            "git_sha": git("rev-parse", "HEAD"),
+            # true when the rows come from uncommitted changes on top of git_sha
+            "git_dirty": None if status is None else bool(status),
             "rows": table,
         }
         with open(args.json, "w", encoding="utf-8") as fh:

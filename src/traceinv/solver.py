@@ -18,9 +18,9 @@ Three routes:
   ``_run_start`` runs one start, ``_polish`` takes full Gauss-Newton
   steps, ``_result`` judges every answer, for ``solve_n1`` too, and
   ``solve`` is only the multi-start policy: it keeps the best start and
-  stops at the first within precision.  At n=1 the closed form, polished
-  on a rounded trace, usually ends the search without scipy;
-  ``_run_start``'s docstring gives that route in full.
+  stops at the first within precision.  Every start takes one route,
+  which ``_run_start``'s docstring gives in full; at n=1 the closed form,
+  already a root or polished, usually ends the search without scipy.
 * ``verify_reconstruction`` -- the independent check: retrain on the
   recovered dataset and compare the resulting trace epoch by epoch.
 
@@ -79,7 +79,9 @@ class SolverConfig:
     that side open and NaN is rejected.  Arrays pass numpy's integer or
     float dtypes only, never bool, str or complex.  The first start is
     ``initial_guess``, else at n=1 the closed form where it is defined,
-    else (x_0=0.5, all else 0); the other ``multistart_count - 1`` draw
+    else the default start: all y 0, and x_0=0.5 with every other x 0 at
+    n <= 2, x_i = (i+1)/(n+1) at n >= 3, so that no two instances start
+    on one point; the other ``multistart_count - 1`` draw
     x from [0, 1] and y from [-0.9, 0.9] with ``default_rng(seed)``;
     every start is clipped into the box, which holds every iterate.
     Configs compare by value, arrays elementwise, and hash by the six
@@ -187,8 +189,11 @@ def _closed_form(problem):
 def _start_points(problem, cfg):
     """The start vectors of the multi-start loop, in order:
     ``initial_guess`` if given, else at n=1 the closed form when it is
-    finite, else (x_0=0.5, all else 0), then ``multistart_count - 1``
-    draws from one ``default_rng(cfg.seed)``.
+    finite, else the default start, then ``multistart_count - 1`` draws
+    from one ``default_rng(cfg.seed)``.  The default start has every y 0;
+    its x are (0.5, 0) cut to n at n <= 2, and x_i = (i+1)/(n+1) at
+    n >= 3, where a start with two equal instances would give lmder a
+    singular Jacobian at once.
     The generator is seeded on the first draw, after the first start is
     yielded, so a search that ends at the first start seeds none.  Every
     start is clipped into ``cfg.box_bounds``, or into (-inf, inf) when no
@@ -199,7 +204,7 @@ def _start_points(problem, cfg):
     if z0 is None and n == 1:
         z0 = _closed_form(problem)
     if z0 is None or not np.isfinite(z0).all():  # no guess, or no closed form
-        z0 = pack([0.5] + [0.0] * (n - 1), np.zeros(n))
+        z0 = pack(np.arange(1, n + 1) / (n + 1) if n >= 3 else [0.5, 0.0][:n], np.zeros(n))
     yield np.minimum(np.maximum(np.asarray(z0, dtype=float), lo), hi)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.multistart_count - 1):
@@ -256,42 +261,40 @@ def _polish(problem, z, r, xtol):
     return best[0], best[1], steps
 
 
-def _run_start(problem, z0, cfg, first):
+def _run_start(problem, z0, cfg):
     """One start of ``solve`` from ``z0``, judged by ``_result``.  This
-    docstring is the one full account of the n=1 route.
+    docstring is the one full account of a start's route, the same for
+    every start: ``initial_guess``, the n=1 closed form, the default
+    start or a seeded draw.
 
-    Only the ``first`` start (``initial_guess``, the n=1 closed form or
-    the default) is checked for being a root already, since a random
-    draw is one with probability zero: a root is returned as it is, with
-    0 iterations, before scipy is imported.  So a lossless n=1 trace
-    ends at the closed form.  A first start that is not a root, at n=1
-    on a rounded trace (``quantum > 0``) with no box, is polished next
-    (``_polish``, which respects no box); this gate is the only place
-    that asks whether a trace is rounded.  If the polished point is
-    within precision it is returned, still before scipy is imported, and
-    its iterations are the Gauss-Newton steps taken,
-    ``cfg.step_tolerance`` ending them as it ends lmder.  Otherwise the
-    start runs one scipy call from its unpolished point: MINPACK's lmder
-    when there is no box and the problem is determined, else scipy's
-    dogleg method with rectangular trust regions inside
-    ``cfg.box_bounds`` or (-inf, inf), since lmder handles neither a box
-    nor fewer equations than unknowns.  Iterations count Jacobian
-    evaluations.  scipy is imported here, by the first start that runs
-    it, so that importing the package loads none of it.  Dogbox squares
-    the residual vector, which overflows (then gives inf - inf) once its
-    entries pass about 1e154; those warnings are silenced, so, as lmder
-    does, it returns a start that did not converge.
+    A start that is already a root is returned as it is, with 0
+    iterations, before scipy is imported; so a lossless n=1 trace ends at
+    the closed form.  Otherwise, at n=1 with no box, the start is
+    polished (``_polish``, which respects no box).  If the polished point
+    is within precision it is returned, still before scipy is imported,
+    and its iterations are the Gauss-Newton steps taken,
+    ``cfg.step_tolerance`` ending them as it ends lmder; so a rounded n=1
+    trace usually ends at its polished closed form.  Otherwise the start
+    runs one scipy call from its unpolished point: MINPACK's lmder when
+    there is no box and the problem is determined, else scipy's dogleg
+    method with rectangular trust regions inside ``cfg.box_bounds`` or
+    (-inf, inf), since lmder handles neither a box nor fewer equations
+    than unknowns.  Iterations count Jacobian evaluations.  scipy is
+    imported here, by the first start that runs it, so that importing
+    the package loads none of it.  Dogbox squares the residual vector,
+    which overflows (then gives inf - inf) once its entries pass about
+    1e154; those warnings are silenced, so, as lmder does, it returns a
+    start that did not converge.
     """
-    if first:
-        r0 = residuals(z0, problem)
-        result = _result(problem, z0, r0, 0, cfg.residual_tolerance)
-        if result.converged:
+    r0 = residuals(z0, problem)
+    result = _result(problem, z0, r0, 0, cfg.residual_tolerance)
+    if result.converged:
+        return result
+    if problem.n == 1 and cfg.box_bounds is None:
+        result = _result(problem, *_polish(problem, z0, r0, cfg.step_tolerance),
+                         cfg.residual_tolerance)
+        if result.within_precision:
             return result
-        if problem.n == 1 and problem.quantum > 0 and cfg.box_bounds is None:
-            result = _result(problem, *_polish(problem, z0, r0, cfg.step_tolerance),
-                             cfg.residual_tolerance)
-            if result.within_precision:
-                return result
     from scipy.optimize import least_squares, leastsq
 
     if cfg.box_bounds is None and problem.is_determined:
@@ -324,14 +327,16 @@ def solve(problem, cfg=SolverConfig()):
     start found with ``converged=False`` rather than raising.  The starts
     come from ``_start_points``, already clipped into the box, one at a
     time, so a search that stops at the first start seeds no random
-    generator; ``_run_start`` runs each one, and its docstring says which
-    routine runs and when a start is returned untouched.  At n=1 with no
-    ``initial_guess`` the first start is ``solve_n1``'s closed form,
-    which usually ends the search with no scipy call, polished on a
-    rounded trace; ``_run_start``'s docstring gives that route in full.
-    An exact trace has quantum 0, so only convergence stops it.  On hard
-    instances the root found can differ between runs, because MINPACK's
-    arithmetic in ``leastsq`` depends on memory layout.
+    generator; ``_run_start`` runs each one by the same route, and its
+    docstring gives it in full.  At n=1 with no ``initial_guess`` the
+    first start is ``solve_n1``'s closed form, which usually ends the
+    search with no scipy call.  An exact trace has quantum 0, so only
+    convergence stops it.  On hard instances the root found can differ
+    between processes: scipy's lmder appears to read uninitialised
+    memory when the Jacobian is singular or nearly so.  The default
+    start at n >= 3 puts no two instances on one point, which would
+    make its Jacobian singular; ``demos/determinism.py`` counts the
+    answers that still vary.
     """
     if not problem.is_determined and not cfg.allow_underdetermined:
         raise InsufficientTraceError(
@@ -340,7 +345,7 @@ def solve(problem, cfg=SolverConfig()):
         )
     best = None
     for starts_tried, z0 in enumerate(_start_points(problem, cfg), start=1):
-        result = _run_start(problem, z0, cfg, starts_tried == 1)
+        result = _run_start(problem, z0, cfg)
         if best is None or result.within_precision or result.residual_norm < best.residual_norm:
             best = result
         if result.within_precision:

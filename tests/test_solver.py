@@ -104,11 +104,10 @@ def test_closed_form_rejects_multi_instance(rng):
 
 def test_solve_agrees_with_closed_form(rng):
     cases = [(random_dataset(rng, 1), SolverConfig()) for _ in range(10)]
-    # a hard instance: from (0.5, 0) the first three starts miss, the
-    # fourth finds the root
-    cases.append(
-        (Dataset([0.3038739050748761], [0.5729710315850822]), SolverConfig(seed=307))
-    )
+    # a hard instance: lmder from (0.5, 0) misses the root, the polish
+    # finds it
+    hard = Dataset([0.3038739050748761], [0.5729710315850822])
+    cases.append((hard, SolverConfig(seed=307)))
     for data, cfg in cases:
         p = problem_for(data, epochs=2)
         a = solve_n1(p)
@@ -119,12 +118,18 @@ def test_solve_agrees_with_closed_form(rng):
         assert b.recovered.xs.tobytes() == a.recovered.xs.tobytes()
         assert b.recovered.ys.tobytes() == a.recovered.ys.tobytes()
         assert b.residual_norm == a.residual_norm
-        # MINPACK from (0.5, 0) finds the same root
-        c = solve(p, replace(cfg, initial_guess=pack([0.5], [0.0])))
-        assert c.converged and c.iterations > 0
+        # from (0.5, 0) the Gauss-Newton polish finds the same root
+        guess = pack([0.5], [0.0])
+        c = solve(p, replace(cfg, initial_guess=guess))
+        assert c.converged and c.starts_tried == 1 and 1 <= c.iterations <= 8
         assert abs(a.recovered.xs[0] - c.recovered.xs[0]) < 1e-8
         assert abs(a.recovered.ys[0] - c.recovered.ys[0]) < 1e-8
-    assert c.starts_tried == 4
+        # and so does MINPACK, wherever it converges from there
+        if data is not hard:
+            z, info = minpack(p, guess, cfg)
+            assert np.max(np.abs(info["fvec"])) <= cfg.residual_tolerance
+            assert abs(a.recovered.xs[0] - z[0]) < 1e-8
+            assert abs(a.recovered.ys[0] - z[1]) < 1e-8
 
 
 def test_solve_from_ground_truth_is_immediate(rng):
@@ -208,9 +213,8 @@ def test_solve_nonconvergence_is_reported_not_raised(monkeypatch):
     assert not res.converged
     assert res.starts_tried == 2
     assert res.residual_norm > 1e-10
-    # the first start (a given guess or the n=1 closed form) may already be
-    # a root, a random draw cannot: only the first is evaluated before the
-    # solver runs, so it is evaluated exactly once more than each other start
+    # every start, the first and each random draw, is evaluated once to
+    # see whether it is already a root before its solver runs from it
     cfg = SolverConfig(multistart_count=3)
     starts = list(_start_points(p, cfg))
     calls = [0] * len(starts)
@@ -222,7 +226,7 @@ def test_solve_nonconvergence_is_reported_not_raised(monkeypatch):
 
     monkeypatch.setattr("traceinv.solver.residuals", counting)
     assert solve(p, cfg).starts_tried == 3
-    assert calls[0] == calls[1] + 1 == calls[2] + 1
+    assert calls[0] == calls[1] == calls[2]
 
 
 @pytest.mark.parametrize("n, epochs", [(1, 4), (2, 5)])
@@ -306,20 +310,38 @@ def test_unpolished_rounded_start_runs_minpack_from_the_closed_form(monkeypatch,
         z[:1].tobytes(), z[1:].tobytes(), float(np.max(np.abs(info["fvec"]))), info["njev"], 1)
 
 
-def test_polish_runs_only_on_rounded_unboxed_n1_traces(monkeypatch, rng):
-    # lossless traces (quantum 0, an in-memory rounded one included), a
-    # box, which the polish would not respect, and n >= 2 never reach it
+def test_polish_runs_only_on_unboxed_n1_starts_that_are_not_roots(monkeypatch, rng):
+    # an in-memory rounded trace has quantum 0, so no polished point is
+    # within its precision: the polish runs, and lmder then runs from the
+    # unpolished start
+    one, two = random_dataset(rng, 1), random_dataset(rng, 2)
+    rounded = problem_for(one, epochs=4, digits=7).trace
+    in_memory = ReconstructionProblem(ParamTrace(rounded.eta, rounded.n, rounded.ws, rounded.bs))
+    cfg = SolverConfig(multistart_count=1)
+    z0 = next(_start_points(in_memory, cfg))
+    calls = []
+
+    def recording(problem, z, r, xtol):
+        calls.append(z.tobytes())
+        return _polish(problem, z, r, xtol)
+
+    monkeypatch.setattr("traceinv.solver._polish", recording)
+    res = solve(in_memory, cfg)
+    assert calls == [z0.tobytes()] and not res.within_precision
+    z, info = minpack(in_memory, z0, cfg)
+    assert (res.recovered.xs.tobytes(), res.recovered.ys.tobytes(), res.residual_norm,
+            res.iterations) == (
+        z[:1].tobytes(), z[1:].tobytes(), float(np.max(np.abs(info["fvec"]))), info["njev"])
+
+    # a lossless closed form, already a root, a box, which the polish would
+    # not respect, and n >= 2 never reach it
     def refuse(*args):
         raise AssertionError("_polish called")
 
     monkeypatch.setattr("traceinv.solver._polish", refuse)
-    one, two = random_dataset(rng, 1), random_dataset(rng, 2)
-    rounded = problem_for(one, epochs=4, digits=7).trace
-    in_memory = ReconstructionProblem(ParamTrace(rounded.eta, rounded.n, rounded.ws, rounded.bs))
     cases = [
         (problem_for(one, epochs=2), SolverConfig()),
         (problem_for(one, epochs=500), SolverConfig()),
-        (in_memory, SolverConfig(multistart_count=2)),
         (problem_for(one, epochs=4, digits=7), SolverConfig(box_bounds=(0.0, 1.0))),
         (problem_for(two, epochs=5, digits=7), SolverConfig()),
     ]
@@ -394,8 +416,9 @@ def test_box_bounds_clip_the_iterates(rng):
 
 def test_start_points_sequence(monkeypatch):
     # start 0 is the clipped guess, else at n=1 the closed form where it
-    # is defined, else the default start; start k >= 1 is pack(x draws,
-    # y draws) from one default_rng(seed), clipped
+    # is defined, else the default start, x_i = (i+1)/(n+1) at n = 3;
+    # start k >= 1 is pack(x draws, y draws) from one default_rng(seed),
+    # clipped
     x = 0.3
     frozen = Dataset([x], [float(np.tanh(0.5 * x + 0.5))])  # the bias never moves
     datasets = (Dataset([0.1], [0.4]), frozen, Dataset(np.linspace(0.1, 0.9, 3), np.full(3, 0.4)))
@@ -410,8 +433,8 @@ def test_start_points_sequence(monkeypatch):
         elif n == 1 and data is not frozen:
             closed = solve_n1(p).recovered
             first = pack(closed.xs, closed.ys)
-        else:
-            first = pack([0.5] + [0.0] * (n - 1), np.zeros(n))
+        else:  # the default start: at n >= 3 no two instances share a point
+            first = pack([0.5, 0.0][:n] if n <= 2 else [0.25, 0.5, 0.75], np.zeros(n))
         cfg = SolverConfig(seed=seed, multistart_count=5, initial_guess=guess, box_bounds=box)
         lo, hi = box or (-np.inf, np.inf)
         rng = np.random.default_rng(seed)
