@@ -26,7 +26,7 @@ percentile with at least 10 cases beyond it.  No number is checked.
 
     python3 demos/attack_rates.py                  # criterion-5 data (seconds)
     python3 demos/attack_rates.py --full           # every data set (about a minute)
-    python3 demos/attack_rates.py --full --json BENCH_4.json
+    python3 demos/attack_rates.py --full --json BENCH_5.json
 """
 
 import argparse

@@ -1,8 +1,9 @@
 """Invert multi-instance traces with the damped least-squares solver.
 
 For n instances the per-transition equations no longer separate, so the
-attack forms the full residual system and runs Levenberg-Marquardt with
-an analytic Jacobian from several start points.  The system only
+attack forms the full residual system and, from several start points,
+takes Gauss-Newton steps with an analytic Jacobian, then
+Levenberg-Marquardt where those do not land on a root.  The system only
 determines the instances up to reordering, hence the permutation-aware
 match at the end.
 """

@@ -10,7 +10,8 @@ Exit codes: 0 success; 1 runtime failure (training diverged,
 verification FAIL, output could not be written); 2 usage or input
 error, including an input too large to allocate or to convert to a
 float; 3 reconstruction finished without converging, including a stop
-within a rounded trace's precision (the report is still written).
+within the trace's precision, which on a lossless trace is 16 digits
+(the report is still written).
 ``main`` maps exceptions to these codes: a handler raises
 ``RuntimeError`` for 1 and ``OSError``/``ValueError`` for 2, and a
 ``MemoryError`` or ``OverflowError`` also gives 2.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import fields
 
@@ -121,6 +123,11 @@ def cmd_feasibility(args):
     return 0
 
 
+# every float spelling of a negative value; argparse's own pattern takes
+# only "-1" and "-.5", so it reads "-inf" or "-1e-3" as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.I)
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -203,6 +210,8 @@ def build_parser():
                         "(recorded epochs minus 1)")
     p.set_defaults(func=cmd_feasibility)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -20,7 +20,8 @@ Three routes:
   ``solve`` is only the multi-start policy: it keeps the best start and
   stops at the first within precision.  Every start takes one route,
   which ``_run_start``'s docstring gives in full; at n=1 the closed form,
-  already a root or polished, usually ends the search without scipy.
+  already a root or polished, usually ends the search without scipy, and
+  at any n a polished start can end it.
 * ``verify_reconstruction`` -- the independent check: retrain on the
   recovered dataset and compare the resulting trace epoch by epoch.
 
@@ -238,8 +239,8 @@ def _polish(problem, z, r, xtol):
     ``steps`` counts Jacobian evaluations.  Stops early where r or J is
     not finite, and at the first iterate within the trace's quantum
     whose step is at most ``xtol`` times its size, MINPACK's ``xtol``
-    test.  On a lossless trace (quantum 0) that is an exact root, where
-    every further step would be zero.  It respects no box.  A step that
+    test; a lossless trace has the 16-digit quantum, so a root found to
+    float64 rounding stops it.  It respects no box.  A step that
     overflows is not warned about: it ends the polish instead."""
     rnorm = float(np.abs(r).max())
     best = z, r, rnorm
@@ -269,10 +270,10 @@ def _run_start(problem, z0, cfg):
 
     A start that is already a root is returned as it is, with 0
     iterations, before scipy is imported; so a lossless n=1 trace ends at
-    the closed form.  Otherwise, at n=1 with no box, the start is
-    polished (``_polish``, which respects no box).  If the polished point
-    is within precision it is returned, still before scipy is imported,
-    and its iterations are the Gauss-Newton steps taken,
+    the closed form.  Otherwise, with no box, the start is polished
+    (``_polish``, which respects no box).  If the polished point is
+    within precision it is returned, still before scipy is imported, and
+    its iterations are the Gauss-Newton steps taken,
     ``cfg.step_tolerance`` ending them as it ends lmder; so a rounded n=1
     trace usually ends at its polished closed form.  Otherwise the start
     runs one scipy call from its unpolished point: MINPACK's lmder when
@@ -290,7 +291,7 @@ def _run_start(problem, z0, cfg):
     result = _result(problem, z0, r0, 0, cfg.residual_tolerance)
     if result.converged:
         return result
-    if problem.n == 1 and cfg.box_bounds is None:
+    if cfg.box_bounds is None:
         result = _result(problem, *_polish(problem, z0, r0, cfg.step_tolerance),
                          cfg.residual_tolerance)
         if result.within_precision:
@@ -330,13 +331,14 @@ def solve(problem, cfg=SolverConfig()):
     generator; ``_run_start`` runs each one by the same route, and its
     docstring gives it in full.  At n=1 with no ``initial_guess`` the
     first start is ``solve_n1``'s closed form, which usually ends the
-    search with no scipy call.  An exact trace has quantum 0, so only
-    convergence stops it.  On hard instances the root found can differ
-    between processes: scipy's lmder appears to read uninitialised
-    memory when the Jacobian is singular or nearly so.  The default
-    start at n >= 3 puts no two instances on one point, which would
-    make its Jacobian singular; ``demos/determinism.py`` counts the
-    answers that still vary.
+    search with no scipy call.  A lossless trace has the 16-digit
+    quantum, which is below ``cfg.residual_tolerance`` unless n/(2 eta)
+    is large; there a start within the quantum stops it too.  On hard
+    instances the root found can differ between processes: scipy's lmder
+    appears to read uninitialised memory when the Jacobian is singular
+    or nearly so.  The default start at n >= 3 puts no two instances on
+    one point, which would make its Jacobian singular;
+    ``demos/determinism.py`` counts the answers that still vary.
     """
     if not problem.is_determined and not cfg.allow_underdetermined:
         raise InsufficientTraceError(

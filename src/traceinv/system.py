@@ -66,10 +66,11 @@ class ReconstructionProblem:
     right-hand sides n/(2 eta) * (w_j - w_{j+1}) and n/(2 eta) * (b_j -
     b_{j+1}), interleaved like the residuals.  ``quantum`` bounds how far
     the trace's rounding moves any right-hand side, n/(2 eta) *
-    10^(1-d) * max(|ws|, |bs|) for a trace of precision d; it is 0.0 for
-    an exact trace (precision None).  It leaves out the rounding of the
-    parameters inside tanh, so at large eta the secret's own residual can
-    exceed it (see the module docstring).  Raises InsufficientTraceError
+    10^(1-d) * max(|ws|, |bs|) for a trace of precision d, where a
+    lossless trace (precision None) counts as d = 16, the digits at
+    which ``trace._precision`` marks a trace lossless.  It leaves out the
+    rounding of the parameters inside tanh, so at large eta the secret's
+    own residual can exceed it (see the module docstring).  Raises InsufficientTraceError
     below 2 epochs, and ValueError when a right-hand side overflows to a
     non-finite value, also when n itself is beyond float64's range.
     """
@@ -97,10 +98,9 @@ class ReconstructionProblem:
                 "trace equations overflow: n/(2 eta) times a parameter step "
                 "is not finite"
             )
-        self.quantum = 0.0
-        if tr.precision is not None:  # Python floats: no overflow warning
-            scale = max(float(np.max(np.abs(tr.ws))), float(np.max(np.abs(tr.bs))))
-            self.quantum = c * 10.0 ** (1 - tr.precision) * scale
+        # Python floats: no overflow warning
+        scale = max(float(np.max(np.abs(tr.ws))), float(np.max(np.abs(tr.bs))))
+        self.quantum = c * 10.0 ** (1 - (tr.precision or 16)) * scale
 
     @property
     def n(self):

@@ -453,6 +453,24 @@ def test_usage_errors_exit_two(tmp_path):
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("reconstruct", "T", "--box-bounds", "-inf", "inf"), 0),
+    (("reconstruct", "T", "--box-bounds", "-1e-3", "1"), 0),
+    (("reconstruct", "T", "--box-bounds", "-Infinity", "1E3"), 0),
+    (("reconstruct", "T", "--box-bounds", "-nan", "1"), 2),
+    (("train", "--x", "-1e-3", "--y", "0.5"), 0),
+], ids=["-inf", "-1e-3", "-Infinity", "-nan", "train"])
+def test_negative_float_spellings_are_values(argv, code, tmp_path, capsys):
+    # every spelling float() takes is a value, not an option; a NaN bound
+    # parses and is then rejected by SolverConfig
+    tpath = tmp_path / "t.trace"
+    assert run("train", "--x", "0.6", "--y", "0.5", "-o", str(tpath)) == 0
+    argv = [str(tpath) if a == "T" else a for a in argv]
+    assert run(*argv, "-o", str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: box_bounds") if code else err == ""
+
+
 @pytest.mark.parametrize(
     "subcommand", ["train", "tables", "reconstruct", "verify", "feasibility"]
 )
@@ -516,18 +534,20 @@ SCORED_ATTACK = """
 import sys
 from traceinv import Dataset, match_solutions
 from traceinv.trace import load_dataset
-from traceinv.cli import main
+from traceinv.cli import build_parser, main
 
 at = sys.argv.index("reconstruct")  # train flags, then "reconstruct" and its flags
-digits, flags = sys.argv[1:at], sys.argv[at + 1:]
-assert main(["train", "--x", "0.6", "--y", "0.5", "--epochs", "4", *digits, "-o", "t.trace"]) == 0
+train, flags = sys.argv[1:at], sys.argv[at + 1:]
+secret = build_parser().parse_args(["train", *train])
+assert main(["train", *train, "-o", "t.trace"]) == 0
 code = main(["reconstruct", "t.trace", *flags, "-o", "r.report"])
-if not digits:  # lossless: the closed form is a root, so no MINPACK call
+lossless = secret.precision is None
+if lossless:  # converged, and retraining reproduces the trace
     assert code == 0 and main(["verify", "t.trace", "r.report"]) == 0
-    assert match_solutions(load_dataset("r.report"), Dataset([0.6], [0.5])).max_abs_error < 1e-12
 print("scipy.optimize" in sys.modules)
-three = Dataset([0.6, 0.2, 0.9], [0.5, 0.4, -0.3])  # n >= 2 pairs with scipy, after the print
-assert match_solutions(Dataset(three.xs[::-1], three.ys[::-1]), three).pairing == (2, 1, 0)
+# scored after the print: at n >= 2 the pairing loads scipy
+error = match_solutions(load_dataset("r.report"), Dataset(secret.x, secret.y)).max_abs_error
+assert not lossless or error < (1e-12 if len(secret.x) == 1 else 1e-10)
 """
 
 
@@ -543,15 +563,35 @@ def test_scoring_an_n1_attack_loads_scipy_only_for_minpack(tmp_path, digits, fla
     # MINPACK does not run and scipy.optimize stays unloaded there too; in a
     # box, which the polish does not respect, the start runs dogbox and
     # loads it
+    train = ["--x", "0.6", "--y", "0.5", "--epochs", "4", *digits]
+    assert scored_attack(tmp_path, train, flags) == str(loaded)
+
+
+@pytest.mark.parametrize("data, loaded", [
+    (["--x", "0.6", "--y", "0.5", "--x", "0.2", "--y", "0.4"], False),
+    (["--x", "0.1", "--y", "0.3", "--x", "0.3", "--y", "0.8"], True),
+], ids=["polished", "minpack"])
+def test_scoring_an_n2_attack_loads_scipy_only_for_minpack(tmp_path, data, loaded):
+    # every unboxed start is polished first: from the default start the
+    # polish ends the first lossless n=2 trace at its root, so MINPACK never
+    # runs; on the second it stalls far outside precision, so lmder runs
+    # and loads scipy.optimize
+    assert scored_attack(tmp_path, [*data, "--epochs", "3"], []) == str(loaded)
+
+
+def scored_attack(tmp_path, train, flags):
+    """Run SCORED_ATTACK in a fresh process: train with ``train``, then
+    reconstruct with ``flags``; its last line: "True" if that loaded
+    scipy.optimize, else "False"."""
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", SCORED_ATTACK, *digits, "reconstruct", *flags],
+        [sys.executable, "-W", "error", "-c", SCORED_ATTACK, *train, "reconstruct", *flags],
         capture_output=True,
         text=True,
         cwd=tmp_path,
         env=package_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(loaded)
+    return proc.stdout.splitlines()[-1]
 
 
 def test_each_public_name_has_one_home():

@@ -204,8 +204,8 @@ def test_solve_requires_enough_epochs(rng):
 
 def test_solve_nonconvergence_is_reported_not_raised(monkeypatch):
     # 7-digit rounding makes the 5-epoch system inconsistent; built in
-    # memory, the rounded trace records no precision (quantum 0), so no
-    # start stops the loop early
+    # memory, the rounded trace records no precision, so its quantum is a
+    # lossless trace's 16-digit one and no start stops the loop early
     data = Dataset([0.6, 0.2], [0.5, 0.4])
     rounded = problem_for(data, epochs=5, digits=7).trace
     p = ReconstructionProblem(ParamTrace(rounded.eta, rounded.n, rounded.ws, rounded.bs))
@@ -252,7 +252,9 @@ def test_solve_stops_within_trace_precision(n, epochs, rng):
     exact = problem_for(data, epochs=epochs)
     lossless = ReconstructionProblem(loads_trace(dumps_trace(exact.trace)))
     for q in (exact, lossless):
-        assert q.quantum == 0.0
+        # a lossless trace is taken as a 16-digit one
+        scale = max(np.max(np.abs(q.trace.ws)), np.max(np.abs(q.trace.bs)))
+        assert q.quantum == pytest.approx(n / (2 * 0.1) * 1e-15 * scale, rel=1e-12)
         res = solve(q)
         assert res.within_precision == res.converged
 
@@ -310,15 +312,13 @@ def test_unpolished_rounded_start_runs_minpack_from_the_closed_form(monkeypatch,
         z[:1].tobytes(), z[1:].tobytes(), float(np.max(np.abs(info["fvec"]))), info["njev"], 1)
 
 
-def test_polish_runs_only_on_unboxed_n1_starts_that_are_not_roots(monkeypatch, rng):
-    # an in-memory rounded trace has quantum 0, so no polished point is
-    # within its precision: the polish runs, and lmder then runs from the
-    # unpolished start
+def test_polish_runs_only_on_unboxed_starts_that_are_not_roots(monkeypatch, rng):
+    # an in-memory rounded trace records no precision, so its quantum is a
+    # lossless trace's 16-digit one, far below its 7-digit rounding: the
+    # polish runs at any n, ends outside precision, and lmder then runs
+    # from the unpolished start
     one, two = random_dataset(rng, 1), random_dataset(rng, 2)
-    rounded = problem_for(one, epochs=4, digits=7).trace
-    in_memory = ReconstructionProblem(ParamTrace(rounded.eta, rounded.n, rounded.ws, rounded.bs))
     cfg = SolverConfig(multistart_count=1)
-    z0 = next(_start_points(in_memory, cfg))
     calls = []
 
     def recording(problem, z, r, xtol):
@@ -326,15 +326,23 @@ def test_polish_runs_only_on_unboxed_n1_starts_that_are_not_roots(monkeypatch, r
         return _polish(problem, z, r, xtol)
 
     monkeypatch.setattr("traceinv.solver._polish", recording)
-    res = solve(in_memory, cfg)
-    assert calls == [z0.tobytes()] and not res.within_precision
-    z, info = minpack(in_memory, z0, cfg)
-    assert (res.recovered.xs.tobytes(), res.recovered.ys.tobytes(), res.residual_norm,
-            res.iterations) == (
-        z[:1].tobytes(), z[1:].tobytes(), float(np.max(np.abs(info["fvec"]))), info["njev"])
+    for data, epochs in ((one, 4), (two, 5)):
+        rounded = problem_for(data, epochs=epochs, digits=7).trace
+        in_memory = ReconstructionProblem(
+            ParamTrace(rounded.eta, rounded.n, rounded.ws, rounded.bs))
+        z0 = next(_start_points(in_memory, cfg))
+        calls.clear()
+        res = solve(in_memory, cfg)
+        assert calls == [z0.tobytes()] and not res.within_precision
+        z, info = minpack(in_memory, z0, cfg)
+        n = data.n
+        assert (res.recovered.xs.tobytes(), res.recovered.ys.tobytes(), res.residual_norm,
+                res.iterations) == (
+            z[:n].tobytes(), z[n:].tobytes(), float(np.max(np.abs(info["fvec"]))),
+            info["njev"])
 
-    # a lossless closed form, already a root, a box, which the polish would
-    # not respect, and n >= 2 never reach it
+    # a lossless closed form, already a root, and a box, which the polish
+    # would not respect, never reach it
     def refuse(*args):
         raise AssertionError("_polish called")
 
@@ -343,7 +351,6 @@ def test_polish_runs_only_on_unboxed_n1_starts_that_are_not_roots(monkeypatch, r
         (problem_for(one, epochs=2), SolverConfig()),
         (problem_for(one, epochs=500), SolverConfig()),
         (problem_for(one, epochs=4, digits=7), SolverConfig(box_bounds=(0.0, 1.0))),
-        (problem_for(two, epochs=5, digits=7), SolverConfig()),
     ]
     for p, cfg in cases:
         assert solve(p, cfg).residual_norm < 1e-4
@@ -364,19 +371,27 @@ def test_polish_stops_where_the_jacobian_overflows():
 
 
 def test_polish_stops_at_an_exact_root_of_a_lossless_trace(rng):
-    # a lossless trace has quantum 0, so only an exact root is within it;
-    # every step from there is zero, so the polish stops short of 8 steps
-    exact = 0
+    # a lossless trace has the 16-digit quantum, which its root's rounding
+    # stays within; the step from there is below xtol, so every polish
+    # stops there, short of 8 steps
     for _ in range(20):
         data = random_dataset(rng, 1)
         p = problem_for(data, epochs=2)
-        assert p.quantum == 0.0
         z0 = pack(data.xs, data.ys) + rng.uniform(-1e-3, 1e-3, 2)
         z, r, steps = _polish(p, z0, residuals(z0, p), SolverConfig.step_tolerance)
-        if not r.any():
-            exact += 1
-            assert steps < 8
-    assert exact > 0
+        assert np.max(np.abs(r)) <= p.quantum and steps < 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lossless_secret_is_within_the_quantum(n, rng):
+    # a lossless trace is as exact as float64: the secret's own residual,
+    # rounding alone, stays within the 16-digit quantum from eta 1e-7 to 5,
+    # also where it is far above residual_tolerance
+    for eta in (1e-7, 1e-6, 0.1, 5.0):
+        for _ in range(10):
+            data = random_dataset(rng, n)
+            p = problem_for(data, epochs=n + 1, eta=eta)
+            assert np.max(np.abs(residuals(pack(data.xs, data.ys), p))) <= p.quantum
 
 
 def test_box_bounds_clip_the_iterates(rng):
